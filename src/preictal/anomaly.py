@@ -46,6 +46,11 @@ def series_from_errors(errors: np.ndarray, indices: np.ndarray | None = None) ->
     return ErrorSeries(errors=errors, indices=np.asarray(indices, dtype=np.int64))
 
 
+def check_smoothing_w(w: int):
+    if w < 1 or w % 2 == 0:
+        raise DataError(f"smoothing window must be odd and >= 1, got {w}")
+
+
 def smooth(series: ErrorSeries, w: int = DEFAULT_SMOOTHING_W) -> ErrorSeries:
     """Centered moving average with half-width floor(w/2).
 
@@ -55,8 +60,7 @@ def smooth(series: ErrorSeries, w: int = DEFAULT_SMOOTHING_W) -> ErrorSeries:
     """
     if series.smoothed:
         raise DataError("series is already smoothed")
-    if w < 1 or w % 2 == 0:
-        raise DataError(f"smoothing window must be odd and >= 1, got {w}")
+    check_smoothing_w(w)
     half = w // 2
     n = len(series)
     csum = np.concatenate([[0.0], np.cumsum(series.errors)])

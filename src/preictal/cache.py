@@ -5,19 +5,25 @@ item; byte layouts are documented in docs/formats.md.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import DataError
-from .preprocess import SegmentationConfig, SegmentSet
+from .errors import ConfigError, DataError
+from .features import REPRESENTATIONS
+from .nn.params_io import MAX_NDIM, unpack_header
+from .preprocess import Phase, SegmentationConfig, SegmentSet
 
 SEGMENTS_MAGIC = b"ESG1"
 FEATURES_MAGIC = b"FTR1"
 VERSION = 1
 
-_REP_TAGS = {"dwt": 0, "scalogram": 1, "spectrogram": 2}
-_REP_NAMES = {v: k for k, v in _REP_TAGS.items()}
+
+def _segment_dtype(window: int) -> np.dtype:
+    """One ESG1 chunk: start sample, phase byte, 7 pad bytes, then the samples."""
+    return np.dtype([("start", "<i8"), ("phase", "u1"), ("pad", "V7"),
+                     ("samples", "<f8", (window,))])
 
 
 def dump_segments(segments: SegmentSet) -> bytes:
@@ -25,51 +31,44 @@ def dump_segments(segments: SegmentSet) -> bytes:
     head = SEGMENTS_MAGIC + struct.pack(
         "<IIIII", VERSION, cfg.sampling_rate_hz, cfg.window_samples,
         cfg.hop_samples, len(segments))
-    chunks = [head]
-    for i in range(len(segments)):
-        chunks.append(struct.pack("<qB7x", int(segments.start_samples[i]),
-                                  int(segments.phases[i])))
-        chunks.append(np.ascontiguousarray(segments.samples[i], dtype="<f8").tobytes())
-    return b"".join(chunks)
+    body = np.zeros(len(segments), _segment_dtype(cfg.window_samples))
+    body["start"], body["phase"], body["samples"] = (
+        segments.start_samples, segments.phases, segments.samples)
+    return b"".join((head, body))
 
 
 def load_segments(data: bytes) -> SegmentSet:
     if data[:4] != SEGMENTS_MAGIC:
         raise DataError(f"bad segment-cache magic {data[:4]!r}")
-    version, fs, window, hop, count = struct.unpack_from("<IIIII", data, 4)
+    (version, fs, window, hop, count), pos = unpack_header("<IIIII", data, 4, "segment cache")
     if version != VERSION:
         raise DataError(f"unsupported segment-cache version {version}")
-    if window == 0 or hop == 0 or (window % fs) or (hop % fs):
-        raise DataError("segment cache header has a non-integer window/hop in seconds")
-    cfg = SegmentationConfig(window_s=window // fs,
-                             overlap_s=(window - hop) // fs,
-                             sampling_rate_hz=fs)
-    pos = 24
-    chunk = 16 + 8 * window
-    if len(data) != pos + count * chunk:
-        raise DataError(
-            f"segment cache truncated: {len(data)} bytes, expected {pos + count * chunk}"
-        )
-    starts = np.empty(count, dtype=np.int64)
-    phases = np.empty(count, dtype=np.int8)
-    samples = np.empty((count, window))
-    for i in range(count):
-        start, phase = struct.unpack_from("<qB", data, pos)
-        starts[i], phases[i] = start, phase
-        pos += 16
-        samples[i] = np.frombuffer(data[pos:pos + 8 * window], dtype="<f8")
-        pos += 8 * window
-    return SegmentSet(samples, starts, phases, cfg)
+    if not 0 < window < 2**31 or not fs or not hop or (window % fs) or (hop % fs):
+        raise DataError(f"segment cache header has a bad window/hop: {window}/{hop} "
+                        f"samples at {fs} Hz")
+    try:
+        cfg = SegmentationConfig(window_s=window // fs,
+                                 overlap_s=(window - hop) // fs,
+                                 sampling_rate_hz=fs)
+    except ConfigError as exc:
+        raise DataError(f"segment cache header: {exc}") from exc
+    expected = pos + count * (16 + 8 * window)
+    if len(data) != expected:
+        raise DataError(f"segment cache truncated: {len(data)} bytes, expected {expected}")
+    body = np.frombuffer(data, _segment_dtype(window), count=count, offset=pos)
+    if np.any(body["phase"] > max(Phase)):
+        raise DataError(f"segment cache holds a phase outside 0..{max(Phase):d}")
+    return SegmentSet(body["samples"], body["start"], body["phase"], cfg)
 
 
 def dump_features(features: np.ndarray, representation: str) -> bytes:
-    if representation not in _REP_TAGS:
+    if representation not in REPRESENTATIONS:
         raise DataError(f"unknown representation {representation!r}")
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim < 2:
         raise DataError("features must be stacked with items along axis 0")
     item_shape = feats.shape[1:]
-    head = FEATURES_MAGIC + struct.pack("<IB3xI", VERSION, _REP_TAGS[representation],
+    head = FEATURES_MAGIC + struct.pack("<IB3xI", VERSION, REPRESENTATIONS.index(representation),
                                         len(item_shape))
     head += struct.pack(f"<{len(item_shape)}I", *item_shape)
     head += struct.pack("<I", feats.shape[0])
@@ -79,19 +78,17 @@ def dump_features(features: np.ndarray, representation: str) -> bytes:
 def load_features(data: bytes) -> tuple[np.ndarray, str]:
     if data[:4] != FEATURES_MAGIC:
         raise DataError(f"bad feature-cache magic {data[:4]!r}")
-    version, tag, ndim = struct.unpack_from("<IB3xI", data, 4)
+    (version, tag, ndim), pos = unpack_header("<IB3xI", data, 4, "feature cache")
     if version != VERSION:
         raise DataError(f"unsupported feature-cache version {version}")
-    if tag not in _REP_NAMES:
+    if tag >= len(REPRESENTATIONS):
         raise DataError(f"unknown representation tag {tag}")
-    pos = 16
-    shape = struct.unpack_from(f"<{ndim}I", data, pos)
-    pos += 4 * ndim
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    per = int(np.prod(shape))
-    expected = pos + 8 * per * count
+    if ndim >= MAX_NDIM:
+        raise DataError(f"feature cache declares {ndim} axes per item")
+    shape, pos = unpack_header(f"<{ndim}I", data, pos, "feature cache")
+    (count,), pos = unpack_header("<I", data, pos, "feature cache")
+    expected = pos + 8 * math.prod(shape) * count
     if len(data) != expected:
         raise DataError(f"feature cache truncated: {len(data)} bytes, expected {expected}")
-    feats = np.frombuffer(data[pos:], dtype="<f8").reshape(count, *shape).copy()
-    return feats, _REP_NAMES[tag]
+    feats = np.frombuffer(data, dtype="<f8", offset=pos).reshape(count, *shape).copy()
+    return feats, REPRESENTATIONS[tag]

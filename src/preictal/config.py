@@ -7,8 +7,14 @@ for the full key table.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .errors import ConfigError
+from .anomaly import check_smoothing_w
+from .errors import ConfigError, DataError
+from .evaluation import EvalConfig
+from .features import REPRESENTATIONS
+from .models import ARCHITECTURES, TrainPlan
+from .preprocess import FilterConfig, SegmentationConfig
 
 _BOOL_TRUE = {"true", "yes", "1", "on"}
 _BOOL_FALSE = {"false", "no", "0", "off"}
@@ -56,11 +62,6 @@ class PipelineConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 _VALID_KEYS = set(_FIELD_TYPES)
-
-_ENUMS = {
-    "representation": ("dwt", "scalogram", "spectrogram"),
-    "architecture": ("lstm_ae", "mh_c_lstm_ae", "t_ee"),
-}
 
 
 def _parse_value(key: str, raw: str):
@@ -113,38 +114,37 @@ def validate_config(text: str, overrides: dict | None = None) -> PipelineConfig:
         values[key] = val
 
     cfg = PipelineConfig(**values)
-    _validate_ranges(cfg)
+    stage_settings(cfg)
     return cfg
 
 
-def _validate_ranges(cfg: PipelineConfig):
-    from .preprocess import OVERLAP_CHOICES_S, WINDOW_CHOICES_S
+class StageSettings(NamedTuple):
+    filter: FilterConfig
+    segmentation: SegmentationConfig   # at the default rate until preprocess knows the record's
+    train: TrainPlan
+    evaluation: EvalConfig             # preictal_len_s is the record's, from record.json
 
-    if cfg.window_s not in WINDOW_CHOICES_S:
-        raise ConfigError(f"window_s must be one of {WINDOW_CHOICES_S}, got {cfg.window_s}")
-    if cfg.overlap_s not in OVERLAP_CHOICES_S:
-        raise ConfigError(f"overlap_s must be one of {OVERLAP_CHOICES_S}, got {cfg.overlap_s}")
-    if cfg.overlap_s >= cfg.window_s:
-        raise ConfigError(f"overlap_s ({cfg.overlap_s}) must be smaller than window_s ({cfg.window_s})")
-    for key, choices in _ENUMS.items():
-        if getattr(cfg, key) not in choices:
-            raise ConfigError(f"{key} must be one of {choices}, got {getattr(cfg, key)!r}")
-    if cfg.cutoff_hz <= 0:
-        raise ConfigError(f"cutoff_hz must be positive, got {cfg.cutoff_hz}")
-    if cfg.filter_order < 1:
-        raise ConfigError(f"filter_order must be >= 1, got {cfg.filter_order}")
-    if cfg.epochs < 1 or cfg.batch_size < 1 or cfg.patience < 1:
-        raise ConfigError("epochs, batch_size and patience must all be >= 1")
-    if not 0 <= cfg.holdout_fraction < 1:
-        raise ConfigError(f"holdout_fraction must be in [0, 1), got {cfg.holdout_fraction}")
-    if cfg.smoothing_w < 1 or cfg.smoothing_w % 2 == 0:
-        raise ConfigError(f"smoothing_w must be odd and >= 1, got {cfg.smoothing_w}")
-    if cfg.preictal_len_s is not None and cfg.preictal_len_s <= 0:
-        raise ConfigError("preictal_len_s must be positive (or 'auto')")
-    if cfg.postictal_len_s < 0 or cfg.refractory_gap_s < 0:
-        raise ConfigError("postictal_len_s and refractory_gap_s must be >= 0")
-    if cfg.min_baseline_segments < 1:
-        raise ConfigError("min_baseline_segments must be >= 1")
+
+def stage_settings(cfg: PipelineConfig) -> StageSettings:
+    """Build the objects that own each range rule; building them checks cfg."""
+    for key, names in (("representation", REPRESENTATIONS), ("architecture", ARCHITECTURES)):
+        if getattr(cfg, key) not in names:
+            raise ConfigError(f"{key} must be one of {names}, got {getattr(cfg, key)!r}")
+    try:
+        check_smoothing_w(cfg.smoothing_w)
+    except DataError as exc:
+        raise ConfigError(f"smoothing_w: {exc}") from exc
+    preictal = {} if cfg.preictal_len_s is None else {"preictal_len_s": cfg.preictal_len_s}
+    return StageSettings(
+        filter=FilterConfig(cutoff_hz=cfg.cutoff_hz, order=cfg.filter_order,
+                            zero_phase=cfg.zero_phase),
+        segmentation=SegmentationConfig(window_s=cfg.window_s, overlap_s=cfg.overlap_s),
+        train=TrainPlan(epochs=cfg.epochs, batch_size=cfg.batch_size, patience=cfg.patience,
+                        min_delta=cfg.min_delta, seed=cfg.seed,
+                        min_baseline_segments=cfg.min_baseline_segments,
+                        holdout_fraction=cfg.holdout_fraction),
+        evaluation=EvalConfig(postictal_len_s=cfg.postictal_len_s,
+                              refractory_gap_s=cfg.refractory_gap_s, **preictal))
 
 
 def config_text(cfg: PipelineConfig) -> str:

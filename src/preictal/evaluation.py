@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anomaly import AlarmEvent
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest.records import SeizureAnnotation
 from .preprocess import Phase
 
@@ -35,9 +35,9 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.preictal_len_s <= 0:
-            raise DataError("preictal_len_s must be positive")
+            raise ConfigError("preictal_len_s must be positive (or 'auto')")
         if self.postictal_len_s < 0 or self.refractory_gap_s < 0:
-            raise DataError("postictal_len_s and refractory_gap_s must be >= 0")
+            raise ConfigError("postictal_len_s and refractory_gap_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,6 @@ class EvalResult:
     seizures_total: int
     seizures_predicted: int
     mean_prediction_time_min: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "accuracy_unweighted": self.accuracy_unweighted,
-            "specificity": self.specificity,
-            "fpr_ratio": self.fpr_ratio,
-            "fpr_per_hour": self.fpr_per_hour,
-            "seizures_total": self.seizures_total,
-            "seizures_predicted": self.seizures_predicted,
-            "mean_prediction_time_min": self.mean_prediction_time_min,
-        }
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -195,20 +183,3 @@ def events_to_intervals(events: list[AlarmEvent], series_indices: np.ndarray,
 def interictal_hours(phases: np.ndarray, hop_s: float) -> float:
     """Unique inter-ictal time covered by the scored segments, in hours."""
     return float(np.sum(np.asarray(phases) == Phase.INTERICTAL)) * hop_s / 3600.0
-
-
-def aggregate_metrics(results: list[EvalResult]) -> dict:
-    """Across-patient mean and std for each scalar metric (Tables-style shape)."""
-    keys = ["accuracy", "accuracy_unweighted", "specificity", "fpr_ratio",
-            "fpr_per_hour", "mean_prediction_time_min"]
-    agg: dict[str, dict | int] = {}
-    for key in keys:
-        vals = [getattr(r, key) for r in results if getattr(r, key) is not None]
-        agg[key] = {
-            "mean": float(np.mean(vals)) if vals else None,
-            "std": float(np.std(vals)) if vals else None,
-            "n": len(vals),
-        }
-    agg["seizures_total"] = int(sum(r.seizures_total for r in results))
-    agg["seizures_predicted"] = int(sum(r.seizures_predicted for r in results))
-    return agg

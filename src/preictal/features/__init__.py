@@ -28,27 +28,25 @@ def feature_shape(representation: str, window_samples: int) -> tuple[int, ...]:
     raise ConfigError(f"unknown representation {representation!r} (choose from {REPRESENTATIONS})")
 
 
-def extract_feature(representation: str, segment_samples: np.ndarray) -> np.ndarray:
-    if representation == "dwt":
-        return dwt_decompose(segment_samples).vector
-    if representation == "scalogram":
-        return cwt_scalogram(segment_samples).values
-    if representation == "spectrogram":
-        return stft_spectrogram(segment_samples).values
-    raise ConfigError(f"unknown representation {representation!r} (choose from {REPRESENTATIONS})")
+_TRANSFORMS = {
+    "dwt": lambda x: dwt_decompose(x).vector,
+    "scalogram": lambda x: cwt_scalogram(x).values,
+    "spectrogram": lambda x: stft_spectrogram(x).values,
+}
 
 
 def extract_features(segments: SegmentSet, representation: str) -> np.ndarray:
     """Stack one feature tensor per segment along axis 0 (raw, un-normalized)."""
     shape = feature_shape(representation, segments.config.window_samples)
+    transform = _TRANSFORMS[representation]
     out = np.empty((len(segments), *shape))
     for i in range(len(segments)):
-        out[i] = extract_feature(representation, segments.samples[i])
+        out[i] = transform(segments.samples[i])
     return out
 
 
 __all__ = [
-    "REPRESENTATIONS", "feature_shape", "extract_feature", "extract_features",
+    "REPRESENTATIONS", "feature_shape", "extract_features",
     "DwtFeature", "WaveletFilterBank", "dwt_decompose", "dwt_reconstruct",
     "split_vector", "sym4_bank",
     "Scalogram", "cwt_scalogram", "cwt_transform", "mexican_hat",

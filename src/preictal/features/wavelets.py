@@ -24,19 +24,11 @@ DWT_LEVELS = 3
 
 @dataclass(frozen=True)
 class WaveletFilterBank:
-    """Decomposition pair (h low-pass, g high-pass) with reconstruction filters
-    derived by the quadrature-mirror relations."""
+    """Decomposition pair (h low-pass, g high-pass); being orthogonal, the
+    bank reconstructs with the same taps."""
     name: str
     h: np.ndarray   # low-pass decomposition
     g: np.ndarray   # high-pass decomposition
-
-    @property
-    def rec_lo(self) -> np.ndarray:
-        return self.h[::-1]
-
-    @property
-    def rec_hi(self) -> np.ndarray:
-        return self.g[::-1]
 
 
 def _orthogonal_candidates(vanishing_moments: int) -> list[np.ndarray]:

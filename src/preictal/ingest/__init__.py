@@ -1,17 +1,15 @@
-"""Input side of the toolkit: EDF and CSV records, annotation sidecars,
-patient metadata, and the synthetic ECG oracle."""
+"""Input side of the toolkit: EDF and CSV records, annotation sidecars, and
+the synthetic ECG oracle."""
 from .edf import EdfHeader, EdfSignalHeader, parse_edf, parse_edf_header, write_edf
-from .records import (EcgRecord, Gender, PatientMeta, SeizureAnnotation,
-                      SeizureType, SyntheticEvent, SyntheticSpec,
-                      validate_annotations)
+from .records import (EcgRecord, SeizureAnnotation, SeizureType, SyntheticEvent,
+                      SyntheticSpec, validate_annotations)
 from .synthetic import generate_synthetic
-from .text import (load_annotations, load_patient_meta, parse_csv,
-                   serialize_annotations, serialize_csv)
+from .text import load_annotations, parse_csv, serialize_annotations, serialize_csv
 
 __all__ = [
-    "EcgRecord", "SeizureAnnotation", "SeizureType", "Gender", "PatientMeta",
+    "EcgRecord", "SeizureAnnotation", "SeizureType",
     "SyntheticSpec", "SyntheticEvent", "validate_annotations",
     "parse_edf", "parse_edf_header", "write_edf", "EdfHeader", "EdfSignalHeader",
     "parse_csv", "serialize_csv", "load_annotations", "serialize_annotations",
-    "load_patient_meta", "generate_synthetic",
+    "generate_synthetic",
 ]

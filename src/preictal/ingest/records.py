@@ -1,4 +1,4 @@
-"""Core record types: ECG recordings, seizure annotations, patient metadata."""
+"""Core record types: ECG recordings, seizure annotations, synthetic recipes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -14,12 +14,6 @@ class SeizureType(Enum):
     WIAS = "WIAS"    # focal onset without impaired awareness
     FBTC = "FBTC"    # focal to bilateral tonic-clonic
     OTHER = "OTHER"
-
-
-class Gender(Enum):
-    MALE = "male"
-    FEMALE = "female"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -84,25 +78,6 @@ def validate_annotations(annotations: list[SeizureAnnotation], duration_s: float
                 raise DataError(
                     f"annotation offset {ann.offset_s} s beyond record end ({duration_s} s)"
                 )
-
-
-@dataclass(frozen=True)
-class PatientMeta:
-    """Demographic summary for one patient (id, age, gender, counts)."""
-    patient_id: str
-    age: int
-    gender: Gender
-    seizure_count: int
-    recording_min: float
-
-    def check_against(self, records: list[EcgRecord]):
-        """Verify seizure_count equals the annotations across the patient's records."""
-        n = sum(len(r.annotations) for r in records if r.patient_id == self.patient_id)
-        if n != self.seizure_count:
-            raise DataError(
-                f"{self.patient_id}: metadata lists {self.seizure_count} seizures "
-                f"but records carry {n} annotations"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Text formats: `time_s,mv` sample CSV, `onset_s,offset_s,type` annotation CSV,
-and the Table-1-style patient metadata CSV."""
+"""Text formats: `time_s,mv` sample CSV and `onset_s,offset_s,type` annotation CSV."""
 from __future__ import annotations
 
 import csv
@@ -8,8 +7,7 @@ import io
 import numpy as np
 
 from ..errors import DataError
-from .records import (EcgRecord, Gender, PatientMeta, SeizureAnnotation,
-                      SeizureType, validate_annotations)
+from .records import EcgRecord, SeizureAnnotation, SeizureType, validate_annotations
 
 RECORD_HEADER = ("time_s", "mv")
 ANNOTATION_HEADER = ("onset_s", "offset_s", "type")
@@ -93,23 +91,3 @@ def serialize_annotations(annotations: list[SeizureAnnotation]) -> str:
     for ann in annotations:
         lines.append(f"{ann.onset_s:.17g},{ann.offset_s:.17g},{ann.seizure_type.value}")
     return "\n".join(lines) + "\n"
-
-
-def load_patient_meta(text: str) -> list[PatientMeta]:
-    """Parse `patient_id,age,gender,seizure_count,recording_min` rows."""
-    rows = _rows(text, ("patient_id", "age", "gender", "seizure_count", "recording_min"))
-    out = []
-    for i, row in enumerate(rows):
-        if len(row) < 5:
-            raise DataError(f"patient metadata row {i + 1} has {len(row)} of 5 columns")
-        try:
-            out.append(PatientMeta(
-                patient_id=row[0].strip(),
-                age=int(row[1]),
-                gender=Gender(row[2].strip().lower()),
-                seizure_count=int(row[3]),
-                recording_min=float(row[4]),
-            ))
-        except ValueError as exc:
-            raise DataError(f"patient metadata row {i + 1} is malformed: {exc}") from exc
-    return out

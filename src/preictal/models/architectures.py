@@ -77,6 +77,13 @@ def to_model_input(features: np.ndarray, representation: str) -> np.ndarray:
 def build(kind: str, representation: str, window_samples: int,
           hyper: dict | None = None) -> ArchitectureSpec:
     """Validate and freeze an architecture description (no parameters yet)."""
+    steps, features = sequence_layout(representation, window_samples)
+    return spec_for_layout(kind, representation, steps, features, hyper)
+
+
+def spec_for_layout(kind: str, representation: str, steps: int, features: int,
+                    hyper: dict | None = None) -> ArchitectureSpec:
+    """The spec for a known (steps, features) layout, as stored in model.json."""
     if kind not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {kind!r} (choose from {ARCHITECTURES})")
     merged = dict(DEFAULT_HYPER)
@@ -93,7 +100,6 @@ def build(kind: str, representation: str, window_samples: int,
             raise ConfigError(f"hyperparameter {key} must be a positive integer, got {value}")
     if not 0 <= merged["dropout"] < 1:
         raise ConfigError(f"dropout must be in [0, 1), got {merged['dropout']}")
-    steps, features = sequence_layout(representation, window_samples)
     return ArchitectureSpec(kind=kind, representation=representation,
                             steps=steps, features=features, hyper=merged)
 

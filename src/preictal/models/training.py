@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DataError, NumericError
-from ..features import NormalizationStats, apply_normalization
+from ..features import NormalizationStats
 from ..nn import AdamState, Sequential, adam_step, dump_arrays, load_arrays, make_rng, mse_loss
-from .architectures import ArchitectureSpec, build, instantiate, to_model_input
+from .architectures import ArchitectureSpec, instantiate, spec_for_layout, to_model_input
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,9 @@ class TrainPlan:
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ConfigError("epochs, batch_size and patience must all be >= 1")
         if not 0 <= self.holdout_fraction < 1:
-            raise ConfigError("holdout_fraction must be in [0, 1)")
+            raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        if self.min_baseline_segments < 1:
+            raise ConfigError("min_baseline_segments must be >= 1")
 
 
 @dataclass
@@ -145,11 +147,6 @@ def score(trained: TrainedModel, features_normalized: np.ndarray,
     return errors
 
 
-def score_segments(trained: TrainedModel, raw_features: np.ndarray) -> np.ndarray:
-    """Convenience wrapper: normalize with the model's stored stats, then score."""
-    return score(trained, apply_normalization(raw_features, trained.stats))
-
-
 MODEL_FORMAT_VERSION = 1
 
 
@@ -183,8 +180,8 @@ def load_trained(blob: bytes, manifest_json: str, stats: NormalizationStats) -> 
         raise DataError(f"unsupported model manifest version {meta.get('format_version')}")
     if _stats_digest(stats) != meta["normalization_digest"]:
         raise DataError("normalization stats do not match the model manifest digest")
-    spec = build(meta["architecture"], meta["representation"],
-                 _window_from_layout(meta), hyper=meta["hyper"])
+    spec = spec_for_layout(meta["architecture"], meta["representation"],
+                           meta["steps"], meta["features"], hyper=meta["hyper"])
     plan = TrainPlan(epochs=meta["epochs"], batch_size=meta["batch_size"],
                      patience=meta["patience"], min_delta=meta["min_delta"],
                      seed=meta["seed"],
@@ -209,15 +206,3 @@ def _stats_digest(stats: NormalizationStats) -> str:
     h.update(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def _window_from_layout(meta: dict) -> int:
-    """Recover window_samples from the stored layout."""
-    rep, steps, features = meta["representation"], meta["steps"], meta["features"]
-    if rep == "dwt":
-        return steps * features
-    if rep == "scalogram":
-        # steps = ceil(N/4); stored layout is exact for N divisible by 4
-        return steps * 4
-    from ..features import HOP_SAMPLES
-    return (steps - 1) * HOP_SAMPLES

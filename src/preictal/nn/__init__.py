@@ -1,13 +1,15 @@
 """Minimal float64 neural-network kernel with reverse-mode gradients.
 
 Deterministic by construction: parameter init and dropout masks come from
-seeded PCG64 generators (numpy default_rng), training is single-threaded,
-so a fixed seed reproduces parameters bit-for-bit.
+seeded PCG64 generators (numpy default_rng), so a fixed seed reproduces
+parameters bit-for-bit at a fixed BLAS thread count (for example
+OPENBLAS_NUM_THREADS=1); matrix products may round differently when the
+thread count changes.
 """
 import numpy as np
 
 from .layers import (BatchNorm, Conv1d, Dense, Dropout, FeedForward, Layer,
-                     LayerNorm, Lstm, MeanPoolTime, MultiHeadAttention, Relu,
+                     LayerNorm, Lstm, MultiHeadAttention, Relu,
                      RepeatVector, Sequential, TakeLast,
                      TransformerEncoderLayer, glorot, softmax)
 from .losses import mse_loss
@@ -23,7 +25,7 @@ def make_rng(seed: int) -> np.random.Generator:
 __all__ = [
     "Layer", "Sequential", "Dense", "Relu", "Dropout", "Conv1d", "Lstm",
     "MultiHeadAttention", "BatchNorm", "LayerNorm", "FeedForward",
-    "TakeLast", "MeanPoolTime", "RepeatVector", "TransformerEncoderLayer",
+    "TakeLast", "RepeatVector", "TransformerEncoderLayer",
     "softmax", "glorot", "mse_loss", "AdamState", "adam_step",
     "dump_arrays", "load_arrays", "save_params", "load_params", "make_rng",
 ]

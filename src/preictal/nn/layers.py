@@ -424,18 +424,6 @@ class TakeLast(Layer):
         return dx
 
 
-class MeanPoolTime(Layer):
-    """(batch, steps, features) -> (batch, features): mean over steps."""
-
-    def forward(self, x, training=False):
-        self._shape = x.shape
-        return x.mean(axis=1)
-
-    def backward(self, grad):
-        b, t, f = self._shape
-        return np.broadcast_to(grad[:, None, :] / t, self._shape).copy()
-
-
 class RepeatVector(Layer):
     """(batch, features) -> (batch, steps, features)."""
 

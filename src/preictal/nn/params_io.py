@@ -3,6 +3,7 @@ table, then raw little-endian float64 data.  Layout documented in
 docs/formats.md."""
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from ..errors import DataError
 
 MAGIC = b"MDL1"
 VERSION = 1
+MAX_NDIM = 32   # numpy arrays hold at most 64 axes
 
 
 def dump_arrays(arrays: dict[str, np.ndarray], arch_tag: str) -> bytes:
@@ -30,35 +32,44 @@ def dump_arrays(arrays: dict[str, np.ndarray], arch_tag: str) -> bytes:
     return b"".join(out)
 
 
+def unpack_header(fmt: str, data: bytes, pos: int, what: str) -> tuple[tuple, int]:
+    """struct.unpack_from(fmt, data, pos) and the position after it; DataError
+    when data ends first."""
+    end = pos + struct.calcsize(fmt)
+    if end > len(data):
+        raise DataError(f"{what} truncated in its header: {len(data)} bytes, need {end}")
+    return struct.unpack_from(fmt, data, pos), end
+
+
+def _unpack_name(data: bytes, pos: int) -> tuple[str, int]:
+    (length,), pos = unpack_header("<H", data, pos, "parameter file")
+    if pos + length > len(data):
+        raise DataError("parameter file truncated in a name")
+    try:
+        return data[pos:pos + length].decode("utf-8"), pos + length
+    except UnicodeDecodeError as exc:
+        raise DataError(f"parameter file holds a name that is not UTF-8: {exc}") from exc
+
+
 def load_arrays(data: bytes) -> tuple[str, dict[str, np.ndarray]]:
     if data[:4] != MAGIC:
         raise DataError(f"bad parameter-file magic {data[:4]!r}")
-    pos = 4
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    (version,), pos = unpack_header("<I", data, 4, "parameter file")
     if version != VERSION:
         raise DataError(f"unsupported parameter-file version {version}")
-    (tag_len,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    arch_tag = data[pos:pos + tag_len].decode("utf-8")
-    pos += tag_len
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    arch_tag, pos = _unpack_name(data, pos)
+    (count,), pos = unpack_header("<I", data, pos, "parameter file")
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
+        name, pos = _unpack_name(data, pos)
+        (ndim,), pos = unpack_header("<B", data, pos, "parameter file")
+        if ndim > MAX_NDIM:
+            raise DataError(f"array {name!r} declares {ndim} axes")
+        shape, pos = unpack_header(f"<{ndim}I", data, pos, "parameter file")
         shapes.append((name, shape))
     arrays = {}
     for name, shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        end = pos + 8 * n
+        end = pos + 8 * math.prod(shape)
         if end > len(data):
             raise DataError(f"parameter file truncated in array {name!r}")
         arrays[name] = np.frombuffer(data[pos:end], dtype="<f8").reshape(shape).copy()

@@ -2,16 +2,17 @@
 
 Stages: convert -> preprocess -> extract -> train -> score -> evaluate ->
 report.  Each stage writes its artifacts into the output directory and
-records a cache key in manifest.json; a stage re-runs only when its outputs
-are missing or its key changed.  With a fixed config and seed every artifact
-byte is reproducible, so deleting an intermediate and re-running `all`
-regenerates it bit-identically.
+records a cache key and the sha256 of each output in manifest.json; a stage
+re-runs only when an output is missing or changed, or its key changed.  With
+a fixed config and seed every artifact byte is reproducible, so deleting an
+intermediate and re-running `all` regenerates it bit-identically.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +21,21 @@ from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .cache import dump_features, dump_segments, load_features, load_segments
-from .config import PipelineConfig, config_text
+from .config import PipelineConfig, config_text, stage_settings
 from .errors import DataError
-from .evaluation import (EvalConfig, classify_alarm_intervals, count_confusion,
+from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
-from .features import apply_normalization, extract_features, fit_normalization
+from .features import (NormalizationStats, apply_normalization, extract_features,
+                       fit_normalization)
 from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
-from .models import (TrainPlan, build, dump_trained, load_trained,
-                     select_baseline, train)
+from .models import build, dump_trained, load_trained, select_baseline, train
 from .models.training import score
 from .nn import load_params, save_params
 from .nn.params_io import dump_arrays, load_arrays
-from .preprocess import (FilterConfig, SegmentationConfig, lowpass,
-                         label_phases, segment)
+from .preprocess import SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
 
 STAGES = ("convert", "preprocess", "extract", "train", "score", "evaluate", "report")
@@ -63,26 +63,48 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _file_sha256(path: Path) -> str | None:
+    if not path.exists():
+        return None
+    h = hashlib.sha256()
+    with path.open("rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 class Pipeline:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
+        self.settings = stage_settings(cfg)
         self.out = Path(cfg.out)
         self.config_digest = _sha256(config_text(cfg).encode())
         self.manifest_path = self.out / "manifest.json"
+        self._inputs: list[bytes] = []   # read for the convert key, parsed by stage_convert
 
     # ---- manifest / caching ----------------------------------------------
 
     def _load_manifest(self) -> dict:
-        if self.manifest_path.exists():
-            manifest = json.loads(self.manifest_path.read_text())
-            if manifest.get("config_digest") == self.config_digest:
-                return manifest
-        return {"config_digest": self.config_digest, "toolkit_version": __version__,
-                "stages": {}}
+        manifest = (json.loads(self.manifest_path.read_text())
+                    if self.manifest_path.exists() else {"stages": {}})
+        manifest.update(config_digest=self.config_digest, toolkit_version=__version__)
+        return manifest
 
     def _save_manifest(self, manifest: dict):
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path.write_text(_json_dumps(manifest))
+
+    def _read_inputs(self) -> list[bytes]:
+        """The record file's bytes, then the annotation file's when one is set."""
+        self.cfg.require_inputs()
+        inputs = []
+        for what, name in (("record", self.cfg.record), ("annotations", self.cfg.annotations)):
+            if name:
+                path = Path(name)
+                if not path.exists():
+                    raise DataError(f"{what} file not found: {path}")
+                inputs.append(path.read_bytes())
+        return inputs
 
     def _stage_key(self, stage: str, manifest: dict) -> str:
         parts = [__version__.encode(), stage.encode(), self.config_digest.encode()]
@@ -92,20 +114,12 @@ class Pipeline:
             up_key = manifest["stages"].get(upstream, {}).get("key", "")
             parts.append(up_key.encode())
         if stage == "convert":
-            self.cfg.require_inputs()
-            record_path = Path(self.cfg.record)
-            if not record_path.exists():
-                raise DataError(f"record file not found: {record_path}")
-            parts.append(record_path.read_bytes())
-            if self.cfg.annotations:
-                ann_path = Path(self.cfg.annotations)
-                if not ann_path.exists():
-                    raise DataError(f"annotations file not found: {ann_path}")
-                parts.append(ann_path.read_bytes())
+            self._inputs = self._read_inputs()
+            parts += self._inputs
         return _sha256(*parts)
 
-    def _outputs_exist(self, stage: str) -> bool:
-        return all((self.out / name).exists() for name in STAGE_OUTPUTS[stage])
+    def _digests(self, stage: str) -> dict[str, str | None]:
+        return {name: _file_sha256(self.out / name) for name in STAGE_OUTPUTS[stage]}
 
     def _require(self, stage: str, name: str) -> Path:
         path = self.out / name
@@ -124,59 +138,67 @@ class Pipeline:
         manifest = self._load_manifest()
         for name in names:
             key = self._stage_key(name, manifest)
-            entry = manifest["stages"].get(name)
-            if entry and entry.get("key") == key and self._outputs_exist(name):
+            entry = manifest["stages"].get(name, {})
+            if entry.get("key") == key and entry.get("outputs") == self._digests(name):
+                self._inputs = []
                 continue
             t0 = time.perf_counter()
             getattr(self, f"stage_{name}")()
             manifest["stages"][name] = {
                 "key": key,
                 "wall_clock_s": round(time.perf_counter() - t0, 3),
-                "outputs": list(STAGE_OUTPUTS[name]),
+                "outputs": self._digests(name),
             }
             self._save_manifest(manifest)
         return manifest
 
-    # ---- artifact loaders --------------------------------------------------
+    # ---- artifact readers: one per artifact -------------------------------
 
-    def _load_record(self) -> tuple[np.ndarray, dict, list[SeizureAnnotation]]:
-        samples = np.load(self._require("convert", "record.npy"))
-        meta = json.loads(self._require("convert", "record.json").read_text())
-        anns = load_annotations(self._require("convert", "annotations.csv").read_text())
-        return samples, meta, anns
+    def _record_meta(self) -> dict:
+        return json.loads(self._require("convert", "record.json").read_text())
 
-    def _preictal_len_s(self, duration_s: float) -> float:
-        if self.cfg.preictal_len_s is not None:
-            return self.cfg.preictal_len_s
-        return default_preictal_len_s(duration_s)
+    def _annotations(self) -> list[SeizureAnnotation]:
+        return load_annotations(self._require("convert", "annotations.csv").read_text())
 
-    def _eval_config(self, duration_s: float) -> EvalConfig:
-        return EvalConfig(preictal_len_s=self._preictal_len_s(duration_s),
-                          postictal_len_s=self.cfg.postictal_len_s,
-                          refractory_gap_s=self.cfg.refractory_gap_s)
+    def _segments(self) -> SegmentSet:
+        return load_segments(self._require("preprocess", "segments.bin").read_bytes())
+
+    def _features(self) -> np.ndarray:
+        feats, rep = load_features(self._require("extract", "features.bin").read_bytes())
+        if rep != self.cfg.representation:
+            raise DataError(f"feature cache holds {rep!r}, config wants "
+                            f"{self.cfg.representation!r}; re-run 'extract'")
+        return feats
+
+    def _load_model(self):
+        _, stats_arrays = load_params(self._require("train", "stats.params"))
+        stats = NormalizationStats(mean=stats_arrays["mean"], std=stats_arrays["std"])
+        blob = self._require("train", "model.params").read_bytes()
+        manifest_json = self._require("train", "model.json").read_text()
+        return load_trained(blob, manifest_json, stats)
+
+    def _load_scores(self):
+        tag, arrays = load_arrays(self._require("score", "scores.params").read_bytes())
+        if tag != "scores":
+            raise DataError(f"scores.params has tag {tag!r}")
+        return (arrays["train_indices"].astype(np.int64), arrays["train_errors"],
+                arrays["test_indices"].astype(np.int64), arrays["test_errors"])
 
     # ---- stages -------------------------------------------------------------
 
     def stage_convert(self):
-        self.cfg.require_inputs()
-        record_path = Path(self.cfg.record)
-        if not record_path.exists():
-            raise DataError(f"record file not found: {record_path}")
-        if record_path.suffix.lower() == ".edf":
-            record = parse_edf(record_path.read_bytes(), self.cfg.channel)
-        else:
-            record = parse_csv(record_path.read_text(),
+        inputs, self._inputs = self._inputs or self._read_inputs(), []
+        if Path(self.cfg.record).suffix.lower() == ".edf":
+            record = parse_edf(inputs.pop(0), self.cfg.channel)
+        else:   # decoding drops the bytes before parsing starts
+            record = parse_csv(inputs.pop(0).decode(),
                                patient_id=self.cfg.patient_id or "unknown")
-        annotations: list[SeizureAnnotation] = []
-        if self.cfg.annotations:
-            ann_path = Path(self.cfg.annotations)
-            if not ann_path.exists():
-                raise DataError(f"annotations file not found: {ann_path}")
-            annotations = load_annotations(ann_path.read_text())
-        patient_id = self.cfg.patient_id or record.patient_id
-        record = EcgRecord(patient_id=patient_id,
-                           sampling_rate_hz=record.sampling_rate_hz,
-                           samples=record.samples, annotations=annotations)
+        annotations = load_annotations(inputs.pop().decode()) if inputs else []
+        record = replace(record, patient_id=self.cfg.patient_id or record.patient_id,
+                         annotations=annotations)
+        preictal_len_s = self.cfg.preictal_len_s
+        if preictal_len_s is None:
+            preictal_len_s = default_preictal_len_s(record.duration_s)
 
         self.out.mkdir(parents=True, exist_ok=True)
         np.save(self.out / "record.npy", record.samples)
@@ -185,48 +207,35 @@ class Pipeline:
             "sampling_rate_hz": record.sampling_rate_hz,
             "n_samples": len(record.samples),
             "duration_s": record.duration_s,
-            "preictal_len_s": self._preictal_len_s(record.duration_s),
+            "preictal_len_s": preictal_len_s,
         }))
         (self.out / "annotations.csv").write_text(serialize_annotations(annotations))
 
     def stage_preprocess(self):
-        samples, meta, anns = self._load_record()
+        meta, anns = self._record_meta(), self._annotations()
         record = EcgRecord(patient_id=meta["patient_id"],
                            sampling_rate_hz=meta["sampling_rate_hz"],
-                           samples=samples, annotations=anns)
-        filtered = lowpass(record, FilterConfig(cutoff_hz=self.cfg.cutoff_hz,
-                                                order=self.cfg.filter_order,
-                                                zero_phase=self.cfg.zero_phase))
-        seg_cfg = SegmentationConfig(window_s=self.cfg.window_s,
-                                     overlap_s=self.cfg.overlap_s,
-                                     sampling_rate_hz=record.sampling_rate_hz)
-        segments = segment(filtered, seg_cfg)
-        segments = label_phases(segments, anns,
-                                preictal_len_s=self._preictal_len_s(record.duration_s),
-                                postictal_len_s=self.cfg.postictal_len_s)
+                           samples=np.load(self._require("convert", "record.npy")),
+                           annotations=anns)
+        filtered = lowpass(record, self.settings.filter)
+        seg_cfg = replace(self.settings.segmentation, sampling_rate_hz=record.sampling_rate_hz)
+        segments = label_phases(segment(filtered, seg_cfg), anns,
+                                preictal_len_s=meta["preictal_len_s"],
+                                postictal_len_s=self.settings.evaluation.postictal_len_s)
         (self.out / "segments.bin").write_bytes(dump_segments(segments))
 
     def stage_extract(self):
-        segments = load_segments(self._require("preprocess", "segments.bin").read_bytes())
+        segments = self._segments()
         feats = extract_features(segments, self.cfg.representation)
         (self.out / "features.bin").write_bytes(dump_features(feats, self.cfg.representation))
 
     def stage_train(self):
-        segments = load_segments(self._require("preprocess", "segments.bin").read_bytes())
-        feats, rep = load_features(self._require("extract", "features.bin").read_bytes())
-        if rep != self.cfg.representation:
-            raise DataError(f"feature cache holds {rep!r}, config wants "
-                            f"{self.cfg.representation!r}; re-run 'extract'")
-        _, meta, _ = self._load_record()
-        train_idx, test_idx = select_baseline(segments, meta["duration_s"],
-                                              min_segments=self.cfg.min_baseline_segments)
+        segments, feats, plan = self._segments(), self._features(), self.settings.train
+        train_idx, test_idx = select_baseline(segments, self._record_meta()["duration_s"],
+                                              min_segments=plan.min_baseline_segments)
         stats = fit_normalization(feats[train_idx])
-        plan = TrainPlan(epochs=self.cfg.epochs, batch_size=self.cfg.batch_size,
-                         patience=self.cfg.patience, min_delta=self.cfg.min_delta,
-                         seed=self.cfg.seed,
-                         min_baseline_segments=self.cfg.min_baseline_segments,
-                         holdout_fraction=self.cfg.holdout_fraction)
-        spec = build(self.cfg.architecture, rep, segments.config.window_samples)
+        spec = build(self.cfg.architecture, self.cfg.representation,
+                     segments.config.window_samples)
         trained = train(spec, apply_normalization(feats[train_idx], stats), stats, plan)
 
         blob, manifest_json = dump_trained(trained)
@@ -240,16 +249,8 @@ class Pipeline:
             "train_end_index": int(train_idx[-1]) if len(train_idx) else -1,
         }))
 
-    def _load_model(self):
-        _, stats_arrays = load_params(self._require("train", "stats.params"))
-        from .features import NormalizationStats
-        stats = NormalizationStats(mean=stats_arrays["mean"], std=stats_arrays["std"])
-        blob = self._require("train", "model.params").read_bytes()
-        manifest_json = self._require("train", "model.json").read_text()
-        return load_trained(blob, manifest_json, stats)
-
     def stage_score(self):
-        feats, rep = load_features(self._require("extract", "features.bin").read_bytes())
+        feats = self._features()
         baseline = json.loads(self._require("train", "baseline.json").read_text())
         trained = self._load_model()
         n_train = baseline["n_train"]
@@ -263,18 +264,10 @@ class Pipeline:
         }
         (self.out / "scores.params").write_bytes(dump_arrays(arrays, "scores"))
 
-    def _load_scores(self):
-        tag, arrays = load_arrays(self._require("score", "scores.params").read_bytes())
-        if tag != "scores":
-            raise DataError(f"scores.params has tag {tag!r}")
-        return (arrays["train_indices"].astype(np.int64), arrays["train_errors"],
-                arrays["test_indices"].astype(np.int64), arrays["test_errors"])
-
     def stage_evaluate(self):
-        segments = load_segments(self._require("preprocess", "segments.bin").read_bytes())
-        _, meta, anns = self._load_record()
+        segments, meta, anns = self._segments(), self._record_meta(), self._annotations()
         train_idx, train_err, test_idx, test_err = self._load_scores()
-        eval_cfg = self._eval_config(meta["duration_s"])
+        eval_cfg = replace(self.settings.evaluation, preictal_len_s=meta["preictal_len_s"])
         w = self.cfg.smoothing_w
 
         train_raw = series_from_errors(train_err, train_idx)
@@ -307,44 +300,36 @@ class Pipeline:
         (self.out / "errors.csv").write_text(export_csv(test_raw, test_smooth, flags))
         (self.out / "evaluation.json").write_text(_json_dumps({
             "patient_id": meta["patient_id"],
-            "threshold": {"mu": threshold.mu, "sigma": threshold.sigma,
-                          "k": threshold.k, "tau": threshold.tau},
+            "threshold": asdict(threshold) | {"tau": threshold.tau},
             "smoothing_w": w,
-            "eval_config": {"preictal_len_s": eval_cfg.preictal_len_s,
-                            "postictal_len_s": eval_cfg.postictal_len_s,
-                            "refractory_gap_s": eval_cfg.refractory_gap_s,
-                            "refractory_gap_segments": gap_segments},
+            "eval_config": asdict(eval_cfg) | {"refractory_gap_segments": gap_segments},
             "counting_note": "ictal and post-ictal segments are excluded from "
                              "confusion counts; positives are pre-ictal segments",
-            "confusion": {"tp": counts.tp, "fp": counts.fp, "tn": counts.tn,
-                          "fn": counts.fn, "w_pos": counts.w_pos},
+            "confusion": asdict(counts),
             "inter_ictal_hours": hours,
-            "alarm_events": {
-                "false": buckets["false"], "predictive": buckets["predictive"],
-                "postictal": buckets["postictal"],
-            },
+            "alarm_events": buckets,
             "seizures": {
                 "predicted_per_seizure": predicted,
                 "prediction_times_min": times_min,
             },
-            "metrics": result.as_dict(),
+            "metrics": asdict(result),
         }))
 
     def stage_report(self):
-        segments = load_segments(self._require("preprocess", "segments.bin").read_bytes())
-        _, meta, anns = self._load_record()
-        train_idx, train_err, test_idx, test_err = self._load_scores()
+        segments, anns = self._segments(), self._annotations()
         evaluation = json.loads(self._require("evaluate", "evaluation.json").read_text())
+        _, _, test_idx, test_err = self._load_scores()
+        patient_id = evaluation["patient_id"]
 
         result = evaluation["metrics"]
         (self.out / "metrics.json").write_text(_json_dumps({
-            "patient_id": meta["patient_id"],
+            "patient_id": patient_id,
             "metrics": result,
             "confusion": evaluation["confusion"],
             "counting_note": evaluation["counting_note"],
         }))
         header = ["patient_id"] + sorted(result)
-        row = [meta["patient_id"]] + [_csv_cell(result[k]) for k in sorted(result)]
+        row = [patient_id] + [_csv_cell(result[k]) for k in sorted(result)]
         (self.out / "metrics.csv").write_text(
             ",".join(header) + "\n" + ",".join(row) + "\n")
 
@@ -356,7 +341,7 @@ class Pipeline:
         svg = render_report_svg(
             test_raw, test_smooth, threshold, anns, times,
             preictal_len_s=evaluation["eval_config"]["preictal_len_s"],
-            title=(f"{meta['patient_id']}: {self.cfg.architecture} / "
+            title=(f"{patient_id}: {self.cfg.architecture} / "
                    f"{self.cfg.representation}, {self.cfg.window_s}s windows"))
         (self.out / "report.svg").write_text(svg)
 

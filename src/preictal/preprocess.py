@@ -28,13 +28,17 @@ class FilterConfig:
     order: int = 4
     zero_phase: bool = True
 
+    def __post_init__(self):
+        if self.cutoff_hz <= 0:
+            raise ConfigError(f"cutoff_hz must be positive, got {self.cutoff_hz}")
+        if self.order < 1:
+            raise ConfigError(f"filter_order must be >= 1, got {self.order}")
+
     def validate(self, sampling_rate_hz: int):
-        if not 0 < self.cutoff_hz < sampling_rate_hz / 2:
+        if self.cutoff_hz >= sampling_rate_hz / 2:
             raise ConfigError(
                 f"cutoff {self.cutoff_hz} Hz must lie in (0, Nyquist={sampling_rate_hz / 2}) Hz"
             )
-        if self.order < 1:
-            raise ConfigError(f"filter order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -62,18 +66,6 @@ class SegmentationConfig:
         return (self.window_s - self.overlap_s) * self.sampling_rate_hz
 
 
-@dataclass(frozen=True)
-class Segment:
-    index: int
-    start_sample: int
-    samples: np.ndarray
-    phase: Phase
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-
 class SegmentSet:
     """Fixed-length windows cut from one record, stored as a (count, window) array."""
 
@@ -94,10 +86,6 @@ class SegmentSet:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __getitem__(self, i: int) -> Segment:
-        return Segment(index=i, start_sample=int(self.start_samples[i]),
-                       samples=self.samples[i], phase=Phase(self.phases[i]))
 
     def start_times_s(self) -> np.ndarray:
         return self.start_samples / self.config.sampling_rate_hz

@@ -1,11 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preictal.cache import (dump_features, dump_segments, load_features,
                             load_segments)
 from preictal.errors import DataError
 from preictal.ingest import EcgRecord
-from preictal.preprocess import SegmentationConfig, segment
+from preictal.nn.params_io import dump_arrays, load_arrays
+from preictal.preprocess import SegmentationConfig, SegmentSet, segment
 
 
 def make_segments(overlap_s=0):
@@ -61,3 +66,61 @@ def test_feature_truncation_detected():
     blob = dump_features(np.zeros((3, 8)), "dwt")
     with pytest.raises(DataError, match="truncated"):
         load_features(blob[:-1])
+
+
+def _small_segments():
+    cfg = SegmentationConfig(window_s=1, overlap_s=0, sampling_rate_hz=8)
+    return SegmentSet(np.arange(24.0).reshape(3, 8), np.array([0, 8, 16]),
+                      np.array([0, 1, 3]), cfg)
+
+
+# one valid blob per loader; the fuzz tests below cut, flip and replace its bytes
+VALID_BLOBS = {
+    load_segments: dump_segments(_small_segments()),
+    load_features: dump_features(np.arange(24.0).reshape(2, 3, 4), "scalogram"),
+    load_arrays: dump_arrays({"w": np.ones((2, 3)), "b": np.zeros(3)}, "lstm_ae:dwt:32x16"),
+}
+LOADERS = st.sampled_from(list(VALID_BLOBS))
+
+
+def _only_data_error(load, blob: bytes):
+    try:
+        load(blob)
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("load, blob", [
+    (load_segments, b"ESG1\x01\x00"),
+    (load_features, b"FTR1\x01\x00\x00"),
+    (load_arrays, b"MDL1\x01\x00\x00\x00\x03"),
+    (load_segments, b"ESG1" + struct.pack("<IIIII", 1, 0, 512, 512, 0)),     # 0 Hz
+    (load_segments, b"ESG1" + struct.pack("<IIIII", 1, 512, 1024, 1024, 0)),  # 2 s window
+    (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"\xff"),              # tag not UTF-8
+])
+def test_malformed_header_is_data_error(load, blob):
+    with pytest.raises(DataError):
+        load(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOADERS, st.binary(max_size=120))
+def test_arbitrary_bytes_after_magic(load, tail):
+    _only_data_error(load, VALID_BLOBS[load][:4] + tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOADERS, st.data())
+def test_truncated_blob(load, data):
+    blob = VALID_BLOBS[load]
+    _only_data_error(load, blob[:data.draw(st.integers(0, len(blob)))])
+
+
+@settings(max_examples=500, deadline=None)
+@given(LOADERS, st.data())
+def test_byte_flipped_blob(load, data):
+    blob = bytearray(VALID_BLOBS[load])
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob[i] ^= data.draw(st.integers(1, 255))
+    _only_data_error(load, bytes(blob))

@@ -1,5 +1,6 @@
 import pytest
 
+from preictal.cli import main
 from preictal.config import PipelineConfig, config_text, validate_config
 from preictal.errors import ConfigError
 
@@ -78,3 +79,17 @@ def test_config_text_canonical_roundtrip():
     again = validate_config(text)
     assert again == cfg
     assert text == config_text(again)
+
+
+@pytest.mark.parametrize("line", [
+    "window_s = 2", "overlap_s = 2", "cutoff_hz = 0", "filter_order = 0", "epochs = 0",
+    "batch_size = 0", "patience = 0", "holdout_fraction = 1", "smoothing_w = 30",
+    "preictal_len_s = 0", "postictal_len_s = -1", "refractory_gap_s = -1",
+    "min_baseline_segments = 0", "architecture = cnn", "representation = mel",
+])
+def test_out_of_range_value_rejected(line, tmp_path):
+    with pytest.raises(ConfigError):
+        validate_config(line + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"record = {tmp_path}/rec.csv\nout = {tmp_path}/out\n{line}\n")
+    assert main(["all", "--config", str(cfg)]) == 2

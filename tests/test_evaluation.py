@@ -5,7 +5,7 @@ from preictal.errors import DataError
 from preictal.evaluation import (ConfusionCounts, EvalConfig,
                                  classify_alarm_intervals, count_confusion,
                                  default_preictal_len_s, interictal_hours,
-                                 aggregate_metrics, metrics, seizure_outcomes)
+                                 metrics, seizure_outcomes)
 from preictal.ingest import SeizureAnnotation
 from preictal.preprocess import Phase
 
@@ -149,16 +149,3 @@ def test_interictal_hours():
 def test_default_preictal_len():
     assert default_preictal_len_s(4 * 3600.0) == 3600.0
     assert default_preictal_len_s(2 * 3600.0) == 1800.0
-
-
-def test_aggregate_metrics_shape():
-    r1 = metrics(ConfusionCounts(3, 1, 7, 1, w_pos=1.0), 1.0, 1,
-                 seizures_total=2, seizures_predicted=2, mean_prediction_time_min=40.0)
-    r2 = metrics(ConfusionCounts(1, 2, 20, 0, w_pos=1.0), 2.0, 0,
-                 seizures_total=1, seizures_predicted=0)
-    agg = aggregate_metrics([r1, r2])
-    assert agg["seizures_total"] == 3
-    assert agg["seizures_predicted"] == 2
-    assert agg["specificity"]["n"] == 2
-    assert 0 <= agg["specificity"]["mean"] <= 1
-    assert agg["mean_prediction_time_min"]["n"] == 1

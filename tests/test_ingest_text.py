@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from preictal.errors import DataError
-from preictal.ingest import (EcgRecord, SeizureType, load_annotations,
-                             load_patient_meta, parse_csv,
+from preictal.ingest import (EcgRecord, SeizureType, load_annotations, parse_csv,
                              serialize_annotations, serialize_csv)
 
 
@@ -75,16 +74,3 @@ def test_annotation_header_and_roundtrip():
 def test_unknown_seizure_type():
     with pytest.raises(DataError, match="unknown seizure type"):
         load_annotations("10,20,XYZ")
-
-
-def test_patient_meta():
-    metas = load_patient_meta("patient_id,age,gender,seizure_count,recording_min\n"
-                              "PN00,55,male,5,198\nPN05,51,female,3,359\n")
-    assert metas[0].patient_id == "PN00"
-    assert metas[1].seizure_count == 3
-
-    rec = EcgRecord(patient_id="PN05", sampling_rate_hz=512,
-                    samples=np.zeros(512 * 200),
-                    annotations=[])
-    with pytest.raises(DataError, match="3 seizures"):
-        metas[1].check_against([rec])

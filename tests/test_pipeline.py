@@ -97,6 +97,14 @@ def test_rerun_uses_cache(completed_run):
     assert (out / "metrics.json").stat().st_mtime_ns == stamp_before
 
 
+def test_truncated_artifact_regenerated_on_rerun(completed_run):
+    out, cfg = completed_run
+    original = (out / "errors.csv").read_bytes()
+    (out / "errors.csv").write_bytes(original[:100])
+    run("all", cfg)
+    assert (out / "errors.csv").read_bytes() == original
+
+
 def test_fresh_directory_reproduces_bytes(completed_run, fixture_files):
     out, _ = completed_run
     root, record, annotations = fixture_files
