@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import REPRESENTATIONS
-from .nn.params_io import MAX_NDIM, unpack_header
+from .nn.params_io import MAX_NDIM, check_shape, unpack_header
 from .preprocess import Phase, SegmentationConfig, SegmentSet
 
 SEGMENTS_MAGIC = b"ESG1"
@@ -87,6 +87,7 @@ def load_features(data: bytes) -> tuple[np.ndarray, str]:
         raise DataError(f"feature cache declares {ndim} axes per item")
     shape, pos = unpack_header(f"<{ndim}I", data, pos, "feature cache")
     (count,), pos = unpack_header("<I", data, pos, "feature cache")
+    check_shape((count, *shape), "feature cache")
     expected = pos + 8 * math.prod(shape) * count
     if len(data) != expected:
         raise DataError(f"feature cache truncated: {len(data)} bytes, expected {expected}")

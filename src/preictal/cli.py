@@ -37,15 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise ConfigError(f"config file not found: {config_path}")
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["out"] = args.out
-        cfg = validate_config(config_path.read_text(), overrides=overrides)
+        cfg = validate_config(text, overrides=overrides)
         run(args.stage, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

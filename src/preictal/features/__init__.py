@@ -1,18 +1,23 @@
 """Time-frequency representations: DWT coefficient vectors, CWT scalograms,
-and STFT spectrograms, plus training-set z-score normalization."""
+and STFT spectrograms, plus training-set z-score normalization.
+
+Each transform maps segments along the last axis of its input and returns a
+plain ndarray: a 1-d segment gives one feature tensor, a (count, window)
+block gives count of them stacked along axis 0.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..preprocess import SegmentSet
-from .cwt import Scalogram, cwt_scalogram, cwt_transform, mexican_hat
+from .cwt import cwt_scalogram, mexican_hat
 from .normalize import (SIGMA_FLOOR, NormalizationStats, apply_normalization,
                         fit_normalization)
-from .stft import (HOP_SAMPLES, N_BINS, WINDOW_SAMPLES, Spectrogram,
-                   frame_count, stft_spectrogram, stft_transform)
-from .wavelets import (DwtFeature, WaveletFilterBank, dwt_decompose,
-                       dwt_reconstruct, split_vector, sym4_bank)
+from .stft import (HOP_SAMPLES, N_BINS, WINDOW_SAMPLES, frame_count,
+                   stft_spectrogram, stft_transform)
+from .wavelets import (WaveletFilterBank, dwt_decompose, dwt_reconstruct,
+                       sym4_bank)
 
 REPRESENTATIONS = ("dwt", "scalogram", "spectrogram")
 
@@ -28,11 +33,13 @@ def feature_shape(representation: str, window_samples: int) -> tuple[int, ...]:
     raise ConfigError(f"unknown representation {representation!r} (choose from {REPRESENTATIONS})")
 
 
-_TRANSFORMS = {
-    "dwt": lambda x: dwt_decompose(x).vector,
-    "scalogram": lambda x: cwt_scalogram(x).values,
-    "spectrogram": lambda x: stft_spectrogram(x).values,
-}
+_TRANSFORMS = {"dwt": dwt_decompose, "scalogram": cwt_scalogram,
+               "spectrogram": stft_spectrogram}
+
+# Segments per transform call.  One call on a whole record would allocate FFT
+# buffers in proportion to the record's length (24 h of 1 s windows: about
+# 3.5 GB per scalogram scale); a block keeps the temporaries at a few MB.
+BLOCK_ROWS = 64
 
 
 def extract_features(segments: SegmentSet, representation: str) -> np.ndarray:
@@ -40,17 +47,16 @@ def extract_features(segments: SegmentSet, representation: str) -> np.ndarray:
     shape = feature_shape(representation, segments.config.window_samples)
     transform = _TRANSFORMS[representation]
     out = np.empty((len(segments), *shape))
-    for i in range(len(segments)):
-        out[i] = transform(segments.samples[i])
+    for start in range(0, len(segments), BLOCK_ROWS):
+        out[start:start + BLOCK_ROWS] = transform(segments.samples[start:start + BLOCK_ROWS])
     return out
 
 
 __all__ = [
     "REPRESENTATIONS", "feature_shape", "extract_features",
-    "DwtFeature", "WaveletFilterBank", "dwt_decompose", "dwt_reconstruct",
-    "split_vector", "sym4_bank",
-    "Scalogram", "cwt_scalogram", "cwt_transform", "mexican_hat",
-    "Spectrogram", "stft_spectrogram", "stft_transform", "frame_count",
+    "WaveletFilterBank", "dwt_decompose", "dwt_reconstruct", "sym4_bank",
+    "cwt_scalogram", "mexican_hat",
+    "stft_spectrogram", "stft_transform", "frame_count",
     "WINDOW_SAMPLES", "HOP_SAMPLES", "N_BINS",
     "NormalizationStats", "fit_normalization", "apply_normalization", "SIGMA_FLOOR",
 ]

@@ -1,7 +1,6 @@
 """Mexican-hat continuous wavelet transform and its squared-energy scalogram."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,36 +28,17 @@ def _kernel(scale: int) -> np.ndarray:
     return k
 
 
-@dataclass(frozen=True)
-class Scalogram:
-    """Energy E(a, b) = C(a, b)^2 over integer scales a (rows) and strided
-    translations b (columns)."""
-    values: np.ndarray
-    scales: np.ndarray
-    time_stride: int = TIME_STRIDE
-
-
-def cwt_transform(segment_samples: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
-    """Pre-squared transform C(a, b) at every translation (no time stride).
-
-    Row a: discrete convolution of the signal with the unit-step-sampled,
-    1/sqrt(a)-normalized kernel, zero-padded at the edges.
-    """
-    x = np.asarray(segment_samples, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError("cwt expects a non-empty 1-d segment")
-    if scales is None:
-        scales = np.arange(1, N_SCALES + 1)
-    out = np.empty((len(scales), len(x)))
-    for i, a in enumerate(scales):
-        out[i] = fftconvolve(x, _kernel(int(a)), mode="same")
+def cwt_scalogram(segments: np.ndarray) -> np.ndarray:
+    """Energy E(a, b) = C(a, b)^2 of each segment along the last axis: integer
+    scales a = 1..128 as rows, translations b strided by 4 as columns; shape
+    (..., 128, ceil(N/4)).  Row a of C convolves the signal with the unit-step-
+    sampled, 1/sqrt(a)-normalized kernel, zero-padded at the edges."""
+    x = np.asarray(segments, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DataError("cwt expects non-empty segments along the last axis")
+    out = np.empty((*x.shape[:-1], N_SCALES, -(-x.shape[-1] // TIME_STRIDE)))
+    for a in range(1, N_SCALES + 1):
+        kernel = _kernel(a).reshape((1,) * (x.ndim - 1) + (-1,))
+        c = fftconvolve(x, kernel, mode="same", axes=-1)
+        out[..., a - 1, :] = np.square(c[..., ::TIME_STRIDE])
     return out
-
-
-def cwt_scalogram(segment_samples: np.ndarray) -> Scalogram:
-    """Scalogram over scales 1..128 with the time axis strided by 4;
-    shape (128, ceil(N/4))."""
-    scales = np.arange(1, N_SCALES + 1)
-    c = cwt_transform(segment_samples, scales)
-    energy = np.square(c[:, ::TIME_STRIDE])
-    return Scalogram(values=energy, scales=scales)

@@ -1,22 +1,14 @@
 """Short-time Fourier transform with a fixed 512-sample window and hop 128."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataError
 
 WINDOW_SAMPLES = 512
 HOP_SAMPLES = 128
 N_BINS = WINDOW_SAMPLES // 2 + 1   # one-sided
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """S(t, f) = |X(t, f)|^2, frames as rows, one-sided bins as columns."""
-    values: np.ndarray
-    window: str = "hann"
 
 
 def frame_count(n_samples: int) -> int:
@@ -34,27 +26,21 @@ def _window(kind: str) -> np.ndarray:
     raise DataError(f"unknown window kind {kind!r}")
 
 
-def stft_frames(segment_samples: np.ndarray) -> np.ndarray:
-    """Reflect-pad by window/2 on each side and slice frames at the hop."""
-    x = np.asarray(segment_samples, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError("stft expects a non-empty 1-d segment")
+def stft_transform(segments: np.ndarray, window: str = "hann") -> np.ndarray:
+    """Complex one-sided STFT X(t, f) of each segment along the last axis;
+    shape (..., 1 + floor(N/128), 257).  Frames are sliced at the hop from the
+    segment reflect-padded by window/2 on each side."""
+    x = np.asarray(segments, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise DataError("stft expects segments of at least 2 samples along the last axis")
     pad = WINDOW_SAMPLES // 2
-    if len(x) < 2:
-        raise DataError("segment too short to reflect-pad")
-    padded = np.pad(x, pad, mode="reflect")
-    n_frames = frame_count(len(x))
-    starts = np.arange(n_frames) * HOP_SAMPLES
-    return padded[starts[:, None] + np.arange(WINDOW_SAMPLES)[None, :]]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
+    frames = sliding_window_view(padded, WINDOW_SAMPLES, axis=-1)[..., ::HOP_SAMPLES, :]
+    return np.fft.rfft(frames * _window(window), n=WINDOW_SAMPLES, axis=-1)
 
 
-def stft_transform(segment_samples: np.ndarray, window: str = "hann") -> np.ndarray:
-    """Complex one-sided STFT buffer X(t, f), shape (frames, 257)."""
-    frames = stft_frames(segment_samples) * _window(window)[None, :]
-    return np.fft.rfft(frames, n=WINDOW_SAMPLES, axis=1)
-
-
-def stft_spectrogram(segment_samples: np.ndarray, window: str = "hann") -> Spectrogram:
-    """Squared-magnitude one-sided spectrogram; shape (1 + floor(N/128), 257)."""
-    x = stft_transform(segment_samples, window=window)
-    return Spectrogram(values=(x.real ** 2 + x.imag ** 2), window=window)
+def stft_spectrogram(segments: np.ndarray, window: str = "hann") -> np.ndarray:
+    """S(t, f) = |X(t, f)|^2 of each segment along the last axis: frames as
+    rows, one-sided bins as columns; shape (..., 1 + floor(N/128), 257)."""
+    x = stft_transform(segments, window=window)
+    return x.real ** 2 + x.imag ** 2

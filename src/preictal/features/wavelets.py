@@ -26,7 +26,6 @@ DWT_LEVELS = 3
 class WaveletFilterBank:
     """Decomposition pair (h low-pass, g high-pass); being orthogonal, the
     bank reconstructs with the same taps."""
-    name: str
     h: np.ndarray   # low-pass decomposition
     g: np.ndarray   # high-pass decomposition
 
@@ -84,22 +83,7 @@ def sym4_bank() -> WaveletFilterBank:
     g = ((-1.0) ** np.arange(L)) * h[::-1]
     h.flags.writeable = False
     g.flags.writeable = False
-    return WaveletFilterBank(name="sym4", h=h, g=g)
-
-
-@dataclass(frozen=True)
-class DwtFeature:
-    """Level-3 periodized coefficients, concatenated cA3 || cD3 || cD2 || cD1."""
-    parts: tuple[np.ndarray, ...]
-    levels: int = DWT_LEVELS
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate(self.parts)
-
-    @property
-    def part_lengths(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
+    return WaveletFilterBank(h=h, g=g)
 
 
 @lru_cache(maxsize=32)
@@ -109,60 +93,43 @@ def _analysis_indices(n: int, taps: int) -> np.ndarray:
     return np.mod(pos, n)
 
 
-def _analysis_step(x: np.ndarray, bank: WaveletFilterBank) -> tuple[np.ndarray, np.ndarray]:
-    idx = _analysis_indices(len(x), len(bank.h))
-    gathered = x[idx]
-    return gathered @ bank.h, gathered @ bank.g
-
-
-def _synthesis_step(approx: np.ndarray, detail: np.ndarray, bank: WaveletFilterBank) -> np.ndarray:
-    n = 2 * len(approx)
-    idx = _analysis_indices(n, len(bank.h))       # same index set, transposed use
-    x = np.zeros(n)
-    np.add.at(x, idx, approx[:, None] * bank.h[None, :])
-    np.add.at(x, idx, detail[:, None] * bank.g[None, :])
-    return x
-
-
-def dwt_decompose(segment_samples: np.ndarray, bank: WaveletFilterBank | None = None,
-                  levels: int = DWT_LEVELS) -> DwtFeature:
-    """Multilevel periodized DWT; output vector length equals the input length.
+def dwt_decompose(segments: np.ndarray, levels: int = DWT_LEVELS) -> np.ndarray:
+    """Multilevel periodized sym4 DWT of each segment along the last axis,
+    concatenated cA_L || cD_L || ... || cD_1; same shape as the input.
 
     Each level convolves with (h, g) and downsamples by two with wrap-around
     indexing, so coefficient counts halve exactly per level.
     """
-    bank = bank or sym4_bank()
-    x = np.asarray(segment_samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError("dwt_decompose expects a 1-d segment")
-    if len(x) % (2 ** levels) != 0:
-        raise DataError(f"segment length {len(x)} not divisible by 2^{levels}")
+    bank = sym4_bank()
+    x = np.asarray(segments, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] % (2 ** levels) != 0:
+        raise DataError(f"segments of shape {x.shape}: last axis not divisible by 2^{levels}")
     details = []
     approx = x
     for _ in range(levels):
-        approx, d = _analysis_step(approx, bank)
-        details.append(d)
-    # ordering: cA_L || cD_L || ... || cD_1
-    return DwtFeature(parts=(approx, *reversed(details)), levels=levels)
+        idx = _analysis_indices(approx.shape[-1], len(bank.h))
+        # a C-ordered (rows, taps) matrix keeps the BLAS product's bytes the same
+        # for a block of segments as for one; the 3-d gather's product does not
+        gathered = np.take(approx, idx, axis=-1).reshape(-1, len(bank.h))
+        shape = (*approx.shape[:-1], len(idx))
+        approx = (gathered @ bank.h).reshape(shape)
+        details.insert(0, (gathered @ bank.g).reshape(shape))
+    return np.concatenate((approx, *details), axis=-1)
 
 
-def dwt_reconstruct(feature: DwtFeature, bank: WaveletFilterBank | None = None) -> np.ndarray:
-    """Inverse of dwt_decompose (exact up to roundoff for an orthonormal bank)."""
-    bank = bank or sym4_bank()
-    approx = feature.parts[0]
-    for detail in feature.parts[1:]:   # coarsest detail first: cD_L, ..., cD_1
-        approx = _synthesis_step(approx, detail, bank)
+def dwt_reconstruct(coefficients: np.ndarray) -> np.ndarray:
+    """Inverse of dwt_decompose for one segment's coefficient vector (exact up
+    to roundoff for an orthonormal bank)."""
+    bank = sym4_bank()
+    c = np.asarray(coefficients, dtype=np.float64)
+    if c.ndim != 1 or len(c) % (2 ** DWT_LEVELS) != 0:
+        raise DataError(f"coefficients of shape {c.shape} do not split into {DWT_LEVELS} levels")
+    n = len(c)
+    approx = c[:n >> DWT_LEVELS]
+    for j in range(DWT_LEVELS, 0, -1):   # cD_j sits at [n >> j, n >> (j - 1))
+        idx = _analysis_indices(2 * len(approx), len(bank.h))   # used transposed
+        x = np.zeros(2 * len(approx))
+        np.add.at(x, idx, approx[:, None] * bank.h)
+        np.add.at(x, idx, c[n >> j:n >> (j - 1), None] * bank.g)
+        approx = x
     return approx
-
-
-def split_vector(vector: np.ndarray, levels: int = DWT_LEVELS) -> DwtFeature:
-    """Rebuild the per-level parts from a concatenated coefficient vector."""
-    n = len(vector)
-    lengths = [n >> levels] + [n >> j for j in range(levels, 0, -1)]
-    parts, pos = [], 0
-    for ln in lengths:
-        parts.append(np.asarray(vector[pos:pos + ln], dtype=np.float64))
-        pos += ln
-    if pos != n:
-        raise DataError(f"vector length {n} does not split into {levels}-level parts")
-    return DwtFeature(parts=tuple(parts), levels=levels)

@@ -174,11 +174,11 @@ def parse_edf(data: bytes, channel_name: str) -> EcgRecord:
         )
     if header.n_records < 0:
         raise DataError("EDF with unknown record count (-1) is not supported")
-    if header.record_duration_s <= 0:
+    if not header.record_duration_s > 0:   # also rejects nan
         raise DataError(f"non-positive data record duration {header.record_duration_s}")
 
     fs = sig.samples_per_record / header.record_duration_s
-    if abs(fs - round(fs)) > 1e-9 or fs <= 0:
+    if not 0 < fs < 2 ** 31 or abs(fs - round(fs)) > 1e-9:
         raise DataError(
             f"channel {channel_name!r}: samples_per_record/duration = {fs} is not an integer rate"
         )

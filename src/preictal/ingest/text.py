@@ -17,7 +17,10 @@ MAX_DT_DEVIATION = 0.01
 
 
 def _rows(text: str, expected_header: tuple[str, ...]) -> list[list[str]]:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    except csv.Error as exc:   # e.g. a field past the csv module's 131,072-character limit
+        raise DataError(f"malformed CSV: {exc}") from exc
     if rows and tuple(c.strip().lower() for c in rows[0]) == expected_header:
         rows = rows[1:]
     return rows
@@ -37,6 +40,8 @@ def parse_csv(text: str, patient_id: str = "unknown") -> EcgRecord:
     except (ValueError, IndexError) as exc:
         raise DataError(f"record CSV has a malformed row: {exc}") from exc
     t, mv = values[:, 0], values[:, 1]
+    if not np.all(np.isfinite(t)):
+        raise DataError("record CSV time column holds a non-finite value")
     if len(t) < 2:
         raise DataError("record CSV needs at least two rows to infer a sampling rate")
     dt = np.diff(t)
@@ -49,10 +54,10 @@ def parse_csv(text: str, patient_id: str = "unknown") -> EcgRecord:
             f"non-uniform sampling: step {dt[worst]:.6g}s at row {worst + 1} "
             f"deviates >1% from median {step:.6g}s"
         )
-    fs = round(1.0 / step)
-    if fs <= 0:
-        raise DataError(f"inferred sampling rate {fs} is not positive")
-    return EcgRecord(patient_id=patient_id, sampling_rate_hz=fs, samples=mv)
+    rate = 1.0 / step
+    if not 0.5 < rate < 2 ** 31:
+        raise DataError(f"inferred sampling rate {rate:.6g} Hz does not round to a positive integer")
+    return EcgRecord(patient_id=patient_id, sampling_rate_hz=round(rate), samples=mv)
 
 
 def serialize_csv(record: EcgRecord) -> str:

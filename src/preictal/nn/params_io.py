@@ -41,6 +41,13 @@ def unpack_header(fmt: str, data: bytes, pos: int, what: str) -> tuple[tuple, in
     return struct.unpack_from(fmt, data, pos), end
 
 
+def check_shape(shape: tuple[int, ...], what: str):
+    """DataError unless numpy can hold a float64 array of this shape; numpy
+    refuses one whose non-zero axes overflow even when another axis is 0."""
+    if 8 * math.prod(n for n in shape if n) > np.iinfo(np.intp).max:
+        raise DataError(f"{what} declares shape {shape}, too big for an array")
+
+
 def _unpack_name(data: bytes, pos: int) -> tuple[str, int]:
     (length,), pos = unpack_header("<H", data, pos, "parameter file")
     if pos + length > len(data):
@@ -66,6 +73,7 @@ def load_arrays(data: bytes) -> tuple[str, dict[str, np.ndarray]]:
         if ndim > MAX_NDIM:
             raise DataError(f"array {name!r} declares {ndim} axes")
         shape, pos = unpack_header(f"<{ndim}I", data, pos, "parameter file")
+        check_shape(shape, f"array {name!r}")
         shapes.append((name, shape))
     arrays = {}
     for name, shape in shapes:

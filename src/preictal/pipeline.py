@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .cache import dump_features, dump_segments, load_features, load_segments
 from .config import PipelineConfig, config_text, stage_settings
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
@@ -63,6 +64,13 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _decode(data: bytes, what: str) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file is not UTF-8: {exc}") from exc
+
+
 def _file_sha256(path: Path) -> str | None:
     if not path.exists():
         return None
@@ -85,14 +93,20 @@ class Pipeline:
     # ---- manifest / caching ----------------------------------------------
 
     def _load_manifest(self) -> dict:
-        manifest = (json.loads(self.manifest_path.read_text())
-                    if self.manifest_path.exists() else {"stages": {}})
+        try:
+            manifest = json.loads(self.manifest_path.read_text())
+        except (FileNotFoundError, ValueError):   # ValueError: cut short or not UTF-8
+            manifest = None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+            manifest = {"stages": {}}   # absent or unusable: every stage re-runs
         manifest.update(config_digest=self.config_digest, toolkit_version=__version__)
         return manifest
 
     def _save_manifest(self, manifest: dict):
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.manifest_path.write_text(_json_dumps(manifest))
+        # written aside and renamed, so a crash never leaves half a manifest
+        tmp = self.out / "manifest.json.tmp"
+        tmp.write_text(_json_dumps(manifest))
+        os.replace(tmp, self.manifest_path)
 
     def _read_inputs(self) -> list[bytes]:
         """The record file's bytes, then the annotation file's when one is set."""
@@ -100,10 +114,10 @@ class Pipeline:
         inputs = []
         for what, name in (("record", self.cfg.record), ("annotations", self.cfg.annotations)):
             if name:
-                path = Path(name)
-                if not path.exists():
-                    raise DataError(f"{what} file not found: {path}")
-                inputs.append(path.read_bytes())
+                try:
+                    inputs.append(Path(name).read_bytes())
+                except OSError as exc:
+                    raise DataError(f"cannot read {what} file {name}: {exc}") from exc
         return inputs
 
     def _stage_key(self, stage: str, manifest: dict) -> str:
@@ -135,6 +149,10 @@ class Pipeline:
             names = [subcommand]
         else:
             raise DataError(f"unknown stage {subcommand!r} (choose from {STAGES + ('all',)})")
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {self.out}: {exc}") from exc
         manifest = self._load_manifest()
         for name in names:
             key = self._stage_key(name, manifest)
@@ -191,16 +209,15 @@ class Pipeline:
         if Path(self.cfg.record).suffix.lower() == ".edf":
             record = parse_edf(inputs.pop(0), self.cfg.channel)
         else:   # decoding drops the bytes before parsing starts
-            record = parse_csv(inputs.pop(0).decode(),
+            record = parse_csv(_decode(inputs.pop(0), "record"),
                                patient_id=self.cfg.patient_id or "unknown")
-        annotations = load_annotations(inputs.pop().decode()) if inputs else []
+        annotations = load_annotations(_decode(inputs.pop(), "annotations")) if inputs else []
         record = replace(record, patient_id=self.cfg.patient_id or record.patient_id,
                          annotations=annotations)
         preictal_len_s = self.cfg.preictal_len_s
         if preictal_len_s is None:
             preictal_len_s = default_preictal_len_s(record.duration_s)
 
-        self.out.mkdir(parents=True, exist_ok=True)
         np.save(self.out / "record.npy", record.samples)
         (self.out / "record.json").write_text(_json_dumps({
             "patient_id": record.patient_id,

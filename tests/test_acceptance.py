@@ -62,13 +62,13 @@ def test_criterion_1_dwt_oracles():
     assert worst < 1e-8
 
     const = dwt_decompose(np.ones(512))
-    const_detail = max(float(np.max(np.abs(p))) for p in const.parts[1:])
+    const_detail = float(np.max(np.abs(const[64:])))   # cD3 || cD2 || cD1
     assert const_detail < 1e-9
 
     ramp = dwt_decompose(np.arange(512, dtype=np.float64))
     masks = _clean_detail_masks(512, 3)
     ramp_detail = 0.0
-    for detail, mask in zip((ramp.parts[3], ramp.parts[2], ramp.parts[1]), masks):
+    for detail, mask in zip((ramp[256:], ramp[128:256], ramp[64:128]), masks):
         ramp_detail = max(ramp_detail, float(np.max(np.abs(detail[mask]))))
     assert ramp_detail < 1e-9   # away from the periodic wrap; see ledger
 
@@ -99,7 +99,7 @@ def test_criterion_2_stft_oracles():
 
     t = np.arange(512) / 512.0
     tone = np.sin(2 * np.pi * 64 * t)
-    values = stft_spectrogram(tone, window="rect").values
+    values = stft_spectrogram(tone, window="rect")
     tone_padded = np.pad(tone, 256, mode="reflect")
     argmaxes = []
     for k in range(len(values)):
@@ -125,11 +125,11 @@ def test_criterion_2_stft_oracles():
 
 
 def test_criterion_3_cwt_oracle():
-    assert np.all(cwt_scalogram(np.zeros(512)).values == 0.0)
+    assert np.all(cwt_scalogram(np.zeros(512)) == 0.0)
 
     width, n = 12.0, 512
     x = np.exp(-((np.arange(n) - n / 2) ** 2) / (2 * width ** 2))
-    ours = int(np.argmax(cwt_scalogram(x).values.sum(axis=1)))
+    ours = int(np.argmax(cwt_scalogram(x).sum(axis=1)))
 
     dt = 0.05
     t = np.arange(-1100, n + 1100, dt)

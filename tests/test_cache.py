@@ -97,6 +97,10 @@ def _only_data_error(load, blob: bytes):
     (load_segments, b"ESG1" + struct.pack("<IIIII", 1, 0, 512, 512, 0)),     # 0 Hz
     (load_segments, b"ESG1" + struct.pack("<IIIII", 1, 512, 1024, 1024, 0)),  # 2 s window
     (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"\xff"),              # tag not UTF-8
+    # a zero axis next to axes whose product overflows numpy's size limit
+    (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"t" + struct.pack("<IH", 1, 1)
+     + b"w" + struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1)),
+    (load_features, b"FTR1" + struct.pack("<IB3xI3II", 1, 0, 3, 0, 2**32 - 1, 2**32 - 1, 5)),
 ])
 def test_malformed_header_is_data_error(load, blob):
     with pytest.raises(DataError):

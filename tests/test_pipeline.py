@@ -9,7 +9,7 @@ from preictal.cli import main
 from preictal.config import validate_config
 from preictal.errors import DataError
 from preictal.ingest import serialize_annotations, serialize_csv
-from preictal.pipeline import Pipeline, run
+from preictal.pipeline import STAGES, Pipeline, run
 
 CONFIG_TEMPLATE = """
 record = {record}
@@ -123,6 +123,22 @@ def test_deleted_intermediate_regenerated_bit_identical(completed_run):
     assert (out / "features.bin").read_bytes() == original
 
 
+def test_truncated_manifest_reruns_every_stage(completed_run, fixture_files, tmp_path):
+    out, cfg = completed_run
+    root, record, annotations = fixture_files
+    artifacts = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+    before = [p.read_bytes() for p in artifacts]
+    manifest = out / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:60])   # as a crash mid-write would leave it
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out))
+    assert main(["all", "--config", str(config)]) == 0
+    assert [p.read_bytes() for p in artifacts] == before
+    assert sorted(json.loads(manifest.read_text())["stages"]) == sorted(STAGES)
+    manifest.write_text("[]")
+    assert Pipeline(cfg)._load_manifest()["stages"] == {}
+
+
 def test_missing_upstream_names_stage(fixture_files):
     root, record, annotations = fixture_files
     out = root / "partial"
@@ -161,6 +177,31 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"record = {tmp_path}/none.csv\nout = {tmp_path}/out\n")
         assert main(["convert", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("case, code", [
+        ("record_bytes", 3), ("annotations_bytes", 3), ("config_bytes", 2),
+        ("config_dir", 2), ("record_dir", 3), ("annotations_dir", 3), ("out_file", 2),
+    ])
+    def test_outside_input_exit_code(self, tmp_path, case, code):
+        # <what>_bytes: the file holds a 0xff byte; <what>_dir: the path is a
+        # directory; out_file: the output path is an existing file
+        what, kind = case.split("_")
+        paths = {"record": tmp_path / "rec.csv", "annotations": tmp_path / "ann.csv",
+                 "out": tmp_path / "out", "config": tmp_path / "run.cfg"}
+        if kind == "dir":
+            paths[what] = tmp_path / what
+            paths[what].mkdir()
+        texts = {"record": "".join(f"{i / 8},0\n" for i in range(16)),
+                 "annotations": "onset_s,offset_s,type\n",
+                 "config": "".join(f"{k} = {paths[k]}\n" for k in ("record", "annotations", "out"))}
+        for key, text in texts.items():
+            if not paths[key].is_dir():
+                paths[key].write_text(text)
+        if kind == "bytes":
+            paths[what].write_bytes(paths[what].read_bytes() + b"\xff\n")
+        elif kind == "file":
+            paths[what].write_text("")
+        assert main(["convert", "--config", str(paths["config"])]) == code
 
     def test_convert_ok_exit_0(self, tmp_path, baseline_record):
         record = tmp_path / "rec.csv"

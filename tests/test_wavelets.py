@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from preictal.errors import DataError
-from preictal.features import (dwt_decompose, dwt_reconstruct, split_vector,
-                               sym4_bank)
+from preictal.features import dwt_decompose, dwt_reconstruct, sym4_bank
 
 
 class TestFilterBank:
@@ -43,14 +42,11 @@ class TestFilterBank:
 class TestDecompose:
     def test_constant_input(self):
         feat = dwt_decompose(np.ones(512))
-        for detail in feat.parts[1:]:
-            assert np.max(np.abs(detail)) < 1e-9
-        np.testing.assert_allclose(feat.parts[0], 2 ** 1.5, atol=1e-9)
+        assert np.max(np.abs(feat[64:])) < 1e-9   # cD3 || cD2 || cD1
+        np.testing.assert_allclose(feat[:64], 2 ** 1.5, atol=1e-9)
 
     def test_part_lengths(self):
-        feat = dwt_decompose(np.zeros(512))
-        assert feat.part_lengths == (64, 64, 128, 256)
-        assert len(feat.vector) == 512
+        assert_part_layout(np.random.default_rng(7).normal(size=512))
 
     def test_brute_force_matrix_oracle(self):
         # compare one analysis level against the explicit orthogonal matrix
@@ -65,8 +61,7 @@ class TestDecompose:
         x = rng.normal(size=n)
         coeffs = w @ x
         feat = dwt_decompose(x, levels=1)
-        np.testing.assert_allclose(feat.parts[0], coeffs[:n // 2], atol=1e-12)
-        np.testing.assert_allclose(feat.parts[1], coeffs[n // 2:], atol=1e-12)
+        np.testing.assert_allclose(feat, coeffs, atol=1e-12)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
@@ -78,25 +73,30 @@ class TestDecompose:
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=512), rng.normal(size=512)
         a, b = 1.7, -0.3
-        lhs = dwt_decompose(a * x + b * y).vector
-        rhs = a * dwt_decompose(x).vector + b * dwt_decompose(y).vector
+        lhs = dwt_decompose(a * x + b * y)
+        rhs = a * dwt_decompose(x) + b * dwt_decompose(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_length_not_divisible(self):
         with pytest.raises(DataError, match="divisible"):
             dwt_decompose(np.zeros(500))
+        with pytest.raises(DataError, match="split"):
+            dwt_reconstruct(np.zeros(500))
 
     def test_all_window_lengths(self):
-        for n in (512, 2560, 5120):
-            feat = dwt_decompose(np.zeros(n))
-            assert feat.part_lengths == (n // 8, n // 8, n // 4, n // 2)
-
-    def test_split_vector_inverts_concatenation(self):
         rng = np.random.default_rng(6)
-        feat = dwt_decompose(rng.normal(size=512))
-        again = split_vector(feat.vector)
-        for a, b in zip(feat.parts, again.parts):
-            assert np.array_equal(a, b)
+        for n in (512, 2560, 5120):
+            assert_part_layout(rng.normal(size=n))
+
+
+def assert_part_layout(x):
+    """cA3 || cD3 || cD2 || cD1 with lengths n/8, n/8, n/4, n/2: cD1 is the
+    level-1 detail and the first half is the level-2 transform of cA1."""
+    n = len(x)
+    feat, one = dwt_decompose(x), dwt_decompose(x, levels=1)
+    assert feat.shape == (n,)
+    assert np.array_equal(feat[n // 2:], one[n // 2:])
+    assert np.array_equal(feat[:n // 2], dwt_decompose(one[:n // 2], levels=2))
 
 
 def propagate_clean_positions(n, levels, taps=8):
@@ -122,7 +122,7 @@ def test_linear_input_interior_details_vanish():
     x = np.arange(n, dtype=np.float64)
     feat = dwt_decompose(x)
     masks = propagate_clean_positions(n, levels=3)
-    details = [feat.parts[3], feat.parts[2], feat.parts[1]]  # cD1, cD2, cD3
+    details = [feat[256:], feat[128:256], feat[64:128]]  # cD1, cD2, cD3
     for detail, mask in zip(details, masks):
         assert mask.sum() > len(mask) // 2
         assert np.max(np.abs(detail[mask])) < 1e-9
