@@ -146,15 +146,3 @@ def stage_settings(cfg: PipelineConfig) -> StageSettings:
         evaluation=EvalConfig(postictal_len_s=cfg.postictal_len_s,
                               refractory_gap_s=cfg.refractory_gap_s, **preictal))
 
-
-def config_text(cfg: PipelineConfig) -> str:
-    """Canonical serialized form (sorted keys); used for the config digest."""
-    lines = []
-    for f in sorted(fields(PipelineConfig), key=lambda f: f.name):
-        val = getattr(cfg, f.name)
-        if val is None:
-            val = "auto"
-        elif isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"

@@ -39,9 +39,10 @@ def parse_csv(text: str, patient_id: str = "unknown") -> EcgRecord:
         values = np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
     except (ValueError, IndexError) as exc:
         raise DataError(f"record CSV has a malformed row: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise DataError(f"record CSV row {bad[0] + 1} holds a non-finite value")
     t, mv = values[:, 0], values[:, 1]
-    if not np.all(np.isfinite(t)):
-        raise DataError("record CSV time column holds a non-finite value")
     if len(t) < 2:
         raise DataError("record CSV needs at least two rows to infer a sampling rate")
     dt = np.diff(t)

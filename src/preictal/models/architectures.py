@@ -10,7 +10,7 @@ weights are independent, never tied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ArchitectureSpec:
     representation: str
     steps: int
     features: int
-    hyper: dict = field(default_factory=dict)
 
     @property
     def tag(self) -> str:
@@ -74,40 +73,25 @@ def to_model_input(features: np.ndarray, representation: str) -> np.ndarray:
     return features
 
 
-def build(kind: str, representation: str, window_samples: int,
-          hyper: dict | None = None) -> ArchitectureSpec:
+def build(kind: str, representation: str, window_samples: int) -> ArchitectureSpec:
     """Validate and freeze an architecture description (no parameters yet)."""
     steps, features = sequence_layout(representation, window_samples)
-    return spec_for_layout(kind, representation, steps, features, hyper)
+    return spec_for_layout(kind, representation, steps, features)
 
 
-def spec_for_layout(kind: str, representation: str, steps: int, features: int,
-                    hyper: dict | None = None) -> ArchitectureSpec:
+def spec_for_layout(kind: str, representation: str, steps: int,
+                    features: int) -> ArchitectureSpec:
     """The spec for a known (steps, features) layout, as stored in model.json."""
     if kind not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {kind!r} (choose from {ARCHITECTURES})")
-    merged = dict(DEFAULT_HYPER)
-    for key, value in (hyper or {}).items():
-        if key not in DEFAULT_HYPER:
-            raise ConfigError(f"unknown hyperparameter {key!r}")
-        merged[key] = value
-    if merged["embed_dim"] % merged["heads"] != 0:
-        raise ConfigError("embed_dim must be divisible by heads")
-    if merged["lstm_hidden"] % merged["heads"] != 0:
-        raise ConfigError("lstm_hidden must be divisible by heads")
-    for key, value in merged.items():
-        if key != "dropout" and (int(value) != value or value <= 0):
-            raise ConfigError(f"hyperparameter {key} must be a positive integer, got {value}")
-    if not 0 <= merged["dropout"] < 1:
-        raise ConfigError(f"dropout must be in [0, 1), got {merged['dropout']}")
     return ArchitectureSpec(kind=kind, representation=representation,
-                            steps=steps, features=features, hyper=merged)
+                            steps=steps, features=features)
 
 
 def instantiate(spec: ArchitectureSpec, seed: int) -> Sequential:
     """Create the layer stack with seeded initialization."""
     rng = make_rng(seed)
-    h = spec.hyper
+    h = DEFAULT_HYPER
     steps, feats = spec.steps, spec.features
     drop = h["dropout"]
 

@@ -14,7 +14,8 @@ import numpy as np
 from ..errors import ConfigError, DataError, NumericError
 from ..features import NormalizationStats
 from ..nn import AdamState, Sequential, adam_step, dump_arrays, load_arrays, make_rng, mse_loss
-from .architectures import ArchitectureSpec, instantiate, spec_for_layout, to_model_input
+from .architectures import (DEFAULT_HYPER, ArchitectureSpec, instantiate, spec_for_layout,
+                            to_model_input)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
         "representation": trained.spec.representation,
         "steps": trained.spec.steps,
         "features": trained.spec.features,
-        "hyper": trained.spec.hyper,
+        "hyper": DEFAULT_HYPER,
         "seed": trained.plan.seed,
         "epochs": trained.plan.epochs,
         "batch_size": trained.plan.batch_size,
@@ -180,8 +181,10 @@ def load_trained(blob: bytes, manifest_json: str, stats: NormalizationStats) -> 
         raise DataError(f"unsupported model manifest version {meta.get('format_version')}")
     if _stats_digest(stats) != meta["normalization_digest"]:
         raise DataError("normalization stats do not match the model manifest digest")
+    if meta.get("hyper") != DEFAULT_HYPER:
+        raise DataError(f"model hyperparameters {meta.get('hyper')} differ from {DEFAULT_HYPER}")
     spec = spec_for_layout(meta["architecture"], meta["representation"],
-                           meta["steps"], meta["features"], hyper=meta["hyper"])
+                           meta["steps"], meta["features"])
     plan = TrainPlan(epochs=meta["epochs"], batch_size=meta["batch_size"],
                      patience=meta["patience"], min_delta=meta["min_delta"],
                      seed=meta["seed"],

@@ -14,7 +14,7 @@ from .layers import (BatchNorm, Conv1d, Dense, Dropout, FeedForward, Layer,
                      TransformerEncoderLayer, glorot, softmax)
 from .losses import mse_loss
 from .optim import AdamState, adam_step
-from .params_io import dump_arrays, load_arrays, load_params, save_params
+from .params_io import dump_arrays, load_arrays
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -27,5 +27,5 @@ __all__ = [
     "MultiHeadAttention", "BatchNorm", "LayerNorm", "FeedForward",
     "TakeLast", "RepeatVector", "TransformerEncoderLayer",
     "softmax", "glorot", "mse_loss", "AdamState", "adam_step",
-    "dump_arrays", "load_arrays", "save_params", "load_params", "make_rng",
+    "dump_arrays", "load_arrays", "make_rng",
 ]

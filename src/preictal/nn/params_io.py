@@ -86,12 +86,3 @@ def load_arrays(data: bytes) -> tuple[str, dict[str, np.ndarray]]:
         raise DataError(f"{len(data) - pos} trailing bytes after parameter arrays")
     return arch_tag, arrays
 
-
-def save_params(path, arrays: dict[str, np.ndarray], arch_tag: str):
-    with open(path, "wb") as f:
-        f.write(dump_arrays(arrays, arch_tag))
-
-
-def load_params(path) -> tuple[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        return load_arrays(f.read())

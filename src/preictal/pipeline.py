@@ -2,9 +2,10 @@
 
 Stages: convert -> preprocess -> extract -> train -> score -> evaluate ->
 report.  Each stage writes its artifacts into the output directory and
-records a cache key and the sha256 of each output in manifest.json; a stage
-re-runs only when an output is missing or changed, or its key changed.  With
-a fixed config and seed every artifact byte is reproducible, so deleting an
+records a cache key and the sha256 of each output in manifest.json.  The key
+hashes only what the stage reads (STAGE_IO), so a stage re-runs only when an
+output is missing or changed, or something it reads changed.  With a fixed
+config and seed every artifact byte is reproducible, so deleting an
 intermediate and re-running `all` regenerates it bit-identically.
 """
 from __future__ import annotations
@@ -13,8 +14,9 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .cache import dump_features, dump_segments, load_features, load_segments
-from .config import PipelineConfig, config_text, stage_settings
+from .config import PipelineConfig, stage_settings
 from .errors import ConfigError, DataError
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
@@ -32,32 +34,44 @@ from .features import (NormalizationStats, apply_normalization, extract_features
 from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
-from .models import build, dump_trained, load_trained, select_baseline, train
+from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
 from .models.training import score
-from .nn import load_params, save_params
-from .nn.params_io import dump_arrays, load_arrays
+from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
 
-STAGES = ("convert", "preprocess", "extract", "train", "score", "evaluate", "report")
 
-# stage -> files it must produce
-STAGE_OUTPUTS = {
-    "convert": ("record.npy", "record.json", "annotations.csv"),
-    "preprocess": ("segments.bin",),
-    "extract": ("features.bin",),
-    "train": ("model.params", "model.json", "stats.params", "baseline.json"),
-    "score": ("scores.params",),
-    "evaluate": ("evaluation.json", "errors.csv"),
-    "report": ("metrics.json", "metrics.csv", "report.svg"),
+class StageIO(NamedTuple):
+    fields: tuple[str, ...]   # PipelineConfig fields the stage reads
+    reads: tuple[str, ...]    # artifacts it reads
+    writes: tuple[str, ...]   # artifacts it must produce
+
+
+_TRAIN_PLAN = tuple(f.name for f in fields(TrainPlan))   # each is a PipelineConfig field
+
+# convert writes the resolved preictal_len_s default into record.json
+STAGE_IO = {
+    "convert": StageIO(("record", "annotations", "channel", "patient_id", "preictal_len_s"),
+                       (), ("record.npy", "record.json", "annotations.csv")),
+    "preprocess": StageIO(("cutoff_hz", "filter_order", "zero_phase", "window_s", "overlap_s",
+                           "postictal_len_s"),
+                          ("record.npy", "record.json", "annotations.csv"), ("segments.bin",)),
+    "extract": StageIO(("representation",), ("segments.bin",), ("features.bin",)),
+    "train": StageIO(("architecture", "representation") + _TRAIN_PLAN,
+                     ("record.json", "segments.bin", "features.bin"),
+                     ("model.params", "model.json", "stats.params", "baseline.json")),
+    "score": StageIO(("representation",),
+                     ("features.bin", "model.params", "model.json", "stats.params",
+                      "baseline.json"), ("scores.params",)),
+    "evaluate": StageIO(("smoothing_w", "k", "postictal_len_s", "refractory_gap_s"),
+                        ("record.json", "annotations.csv", "segments.bin", "scores.params"),
+                        ("evaluation.json", "errors.csv")),
+    "report": StageIO(("smoothing_w", "architecture", "representation", "window_s"),
+                      ("annotations.csv", "segments.bin", "scores.params", "evaluation.json"),
+                      ("metrics.json", "metrics.csv", "report.svg")),
 }
-
-
-def _sha256(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p)
-    return h.hexdigest()
+STAGES = tuple(STAGE_IO)
+_PRODUCER = {name: stage for stage, io in STAGE_IO.items() for name in io.writes}
 
 
 def _json_dumps(obj) -> str:
@@ -86,7 +100,6 @@ class Pipeline:
         self.cfg = cfg
         self.settings = stage_settings(cfg)
         self.out = Path(cfg.out)
-        self.config_digest = _sha256(config_text(cfg).encode())
         self.manifest_path = self.out / "manifest.json"
         self._inputs: list[bytes] = []   # read for the convert key, parsed by stage_convert
 
@@ -99,8 +112,7 @@ class Pipeline:
             manifest = None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
             manifest = {"stages": {}}   # absent or unusable: every stage re-runs
-        manifest.update(config_digest=self.config_digest, toolkit_version=__version__)
-        return manifest
+        return {"stages": manifest["stages"], "toolkit_version": __version__}
 
     def _save_manifest(self, manifest: dict):
         # written aside and renamed, so a crash never leaves half a manifest
@@ -120,25 +132,22 @@ class Pipeline:
                     raise DataError(f"cannot read {what} file {name}: {exc}") from exc
         return inputs
 
-    def _stage_key(self, stage: str, manifest: dict) -> str:
-        parts = [__version__.encode(), stage.encode(), self.config_digest.encode()]
-        idx = STAGES.index(stage)
-        if idx > 0:
-            upstream = STAGES[idx - 1]
-            up_key = manifest["stages"].get(upstream, {}).get("key", "")
-            parts.append(up_key.encode())
+    def _stage_key(self, stage: str, known: dict[str, str | None]) -> str:
+        io = STAGE_IO[stage]
+        inputs = [__version__, stage, {f: getattr(self.cfg, f) for f in io.fields},
+                  [known.get(name) or _file_sha256(self.out / name) for name in io.reads]]
         if stage == "convert":
             self._inputs = self._read_inputs()
-            parts += self._inputs
-        return _sha256(*parts)
+            inputs.append([hashlib.sha256(data).hexdigest() for data in self._inputs])
+        return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
     def _digests(self, stage: str) -> dict[str, str | None]:
-        return {name: _file_sha256(self.out / name) for name in STAGE_OUTPUTS[stage]}
+        return {name: _file_sha256(self.out / name) for name in STAGE_IO[stage].writes}
 
-    def _require(self, stage: str, name: str) -> Path:
+    def _require(self, name: str) -> Path:
         path = self.out / name
         if not path.exists():
-            raise DataError(f"missing artifact {name!r}; run the '{stage}' stage first")
+            raise DataError(f"missing artifact {name!r}; run the '{_PRODUCER[name]}' stage first")
         return path
 
     def run(self, subcommand: str) -> dict:
@@ -153,11 +162,13 @@ class Pipeline:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use output directory {self.out}: {exc}") from exc
-        manifest = self._load_manifest()
+        manifest, known = self._load_manifest(), {}   # known: digests checked in this run
         for name in names:
-            key = self._stage_key(name, manifest)
-            entry = manifest["stages"].get(name, {})
-            if entry.get("key") == key and entry.get("outputs") == self._digests(name):
+            key = self._stage_key(name, known)
+            entry = manifest["stages"].get(name)   # a non-object entry counts as absent
+            if (isinstance(entry, dict) and entry.get("key") == key
+                    and entry.get("outputs") == self._digests(name)):
+                known.update(entry["outputs"])
                 self._inputs = []
                 continue
             t0 = time.perf_counter()
@@ -167,36 +178,37 @@ class Pipeline:
                 "wall_clock_s": round(time.perf_counter() - t0, 3),
                 "outputs": self._digests(name),
             }
+            known.update(manifest["stages"][name]["outputs"])
             self._save_manifest(manifest)
         return manifest
 
     # ---- artifact readers: one per artifact -------------------------------
 
     def _record_meta(self) -> dict:
-        return json.loads(self._require("convert", "record.json").read_text())
+        return json.loads(self._require("record.json").read_text())
 
     def _annotations(self) -> list[SeizureAnnotation]:
-        return load_annotations(self._require("convert", "annotations.csv").read_text())
+        return load_annotations(self._require("annotations.csv").read_text())
 
     def _segments(self) -> SegmentSet:
-        return load_segments(self._require("preprocess", "segments.bin").read_bytes())
+        return load_segments(self._require("segments.bin").read_bytes())
 
     def _features(self) -> np.ndarray:
-        feats, rep = load_features(self._require("extract", "features.bin").read_bytes())
+        feats, rep = load_features(self._require("features.bin").read_bytes())
         if rep != self.cfg.representation:
             raise DataError(f"feature cache holds {rep!r}, config wants "
                             f"{self.cfg.representation!r}; re-run 'extract'")
         return feats
 
     def _load_model(self):
-        _, stats_arrays = load_params(self._require("train", "stats.params"))
+        _, stats_arrays = load_arrays(self._require("stats.params").read_bytes())
         stats = NormalizationStats(mean=stats_arrays["mean"], std=stats_arrays["std"])
-        blob = self._require("train", "model.params").read_bytes()
-        manifest_json = self._require("train", "model.json").read_text()
+        blob = self._require("model.params").read_bytes()
+        manifest_json = self._require("model.json").read_text()
         return load_trained(blob, manifest_json, stats)
 
     def _load_scores(self):
-        tag, arrays = load_arrays(self._require("score", "scores.params").read_bytes())
+        tag, arrays = load_arrays(self._require("scores.params").read_bytes())
         if tag != "scores":
             raise DataError(f"scores.params has tag {tag!r}")
         return (arrays["train_indices"].astype(np.int64), arrays["train_errors"],
@@ -232,7 +244,7 @@ class Pipeline:
         meta, anns = self._record_meta(), self._annotations()
         record = EcgRecord(patient_id=meta["patient_id"],
                            sampling_rate_hz=meta["sampling_rate_hz"],
-                           samples=np.load(self._require("convert", "record.npy")),
+                           samples=np.load(self._require("record.npy")),
                            annotations=anns)
         filtered = lowpass(record, self.settings.filter)
         seg_cfg = replace(self.settings.segmentation, sampling_rate_hz=record.sampling_rate_hz)
@@ -258,8 +270,8 @@ class Pipeline:
         blob, manifest_json = dump_trained(trained)
         (self.out / "model.params").write_bytes(blob)
         (self.out / "model.json").write_text(manifest_json + "\n")
-        save_params(self.out / "stats.params",
-                    {"mean": trained.stats.mean, "std": trained.stats.std}, "norm_stats")
+        (self.out / "stats.params").write_bytes(dump_arrays(
+            {"mean": trained.stats.mean, "std": trained.stats.std}, "norm_stats"))
         (self.out / "baseline.json").write_text(_json_dumps({
             "n_train": int(len(train_idx)),
             "n_test": int(len(test_idx)),
@@ -268,7 +280,7 @@ class Pipeline:
 
     def stage_score(self):
         feats = self._features()
-        baseline = json.loads(self._require("train", "baseline.json").read_text())
+        baseline = json.loads(self._require("baseline.json").read_text())
         trained = self._load_model()
         n_train = baseline["n_train"]
         normalized = apply_normalization(feats, trained.stats)
@@ -334,7 +346,7 @@ class Pipeline:
 
     def stage_report(self):
         segments, anns = self._segments(), self._annotations()
-        evaluation = json.loads(self._require("evaluate", "evaluation.json").read_text())
+        evaluation = json.loads(self._require("evaluation.json").read_text())
         _, _, test_idx, test_err = self._load_scores()
         patient_id = evaluation["patient_id"]
 

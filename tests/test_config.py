@@ -1,7 +1,7 @@
 import pytest
 
 from preictal.cli import main
-from preictal.config import PipelineConfig, config_text, validate_config
+from preictal.config import PipelineConfig, validate_config
 from preictal.errors import ConfigError
 
 
@@ -71,14 +71,6 @@ def test_overrides_validated():
         validate_config("", overrides={"nope": 1})
     cfg = validate_config("seed = 1\n", overrides={"seed": 7, "out": "x"})
     assert cfg.seed == 7 and cfg.out == "x"
-
-
-def test_config_text_canonical_roundtrip():
-    cfg = validate_config("record = a.csv\nk = 2.5\nzero_phase = false\n")
-    text = config_text(cfg)
-    again = validate_config(text)
-    assert again == cfg
-    assert text == config_text(again)
 
 
 @pytest.mark.parametrize("line", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preictal.cli import main
 from preictal.errors import DataError
 from preictal.ingest import (EcgRecord, SeizureType, load_annotations, parse_csv,
                              serialize_annotations, serialize_csv)
@@ -36,6 +37,19 @@ def test_non_numeric_rejected():
 def test_decreasing_time_rejected():
     with pytest.raises(DataError, match="strictly increasing"):
         parse_csv("0.0,1.0\n0.5,1.0\n0.25,1.0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_mv_rejected(tmp_path, value):
+    values = ["0.5"] * 16
+    values[2] = value
+    text = rows_at(8, 16, values)
+    with pytest.raises(DataError, match="row 3 holds a non-finite"):
+        parse_csv(text)
+    record, config = tmp_path / "rec.csv", tmp_path / "run.cfg"
+    record.write_text(text)
+    config.write_text(f"record = {record}\nout = {tmp_path}/out\n")
+    assert main(["convert", "--config", str(config)]) == 3
 
 
 def test_serialize_roundtrip_bit_exact():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -40,11 +42,6 @@ def test_reconstruction_shape_contract(kind, representation):
 def test_unknown_architecture_rejected():
     with pytest.raises(ConfigError, match="unknown architecture"):
         build("gru_ae", "dwt", 512)
-
-
-def test_unknown_hyperparameter_rejected():
-    with pytest.raises(ConfigError, match="unknown hyperparameter"):
-        build("lstm_ae", "dwt", 512, hyper={"layers": 3})
 
 
 def test_mh_c_lstm_intermediate_time_axis_preserved():
@@ -181,6 +178,14 @@ class TestScore:
         model, _ = trained
         with pytest.raises(DataError, match="does not match"):
             score(model, np.zeros((2, 7, 257)))
+
+    def test_edited_hyper_rejected_on_load(self, trained):
+        model, _ = trained
+        blob, manifest = dump_trained(model)
+        meta = json.loads(manifest)
+        meta["hyper"]["latent"] = 16
+        with pytest.raises(DataError, match="hyper"):
+            load_trained(blob, json.dumps(meta), model.stats)
 
 
 def test_preictal_errors_exceed_interictal(event_record):

@@ -1,15 +1,17 @@
 import json
+import re
 import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from preictal.cli import main
-from preictal.config import validate_config
+from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
 from preictal.ingest import serialize_annotations, serialize_csv
-from preictal.pipeline import STAGES, Pipeline, run
+from preictal.pipeline import STAGE_IO, STAGES, Pipeline, run
 
 CONFIG_TEMPLATE = """
 record = {record}
@@ -129,14 +131,18 @@ def test_truncated_manifest_reruns_every_stage(completed_run, fixture_files, tmp
     artifacts = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     before = [p.read_bytes() for p in artifacts]
     manifest = out / "manifest.json"
-    manifest.write_bytes(manifest.read_bytes()[:60])   # as a crash mid-write would leave it
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out))
-    assert main(["all", "--config", str(config)]) == 0
-    assert [p.read_bytes() for p in artifacts] == before
-    assert sorted(json.loads(manifest.read_text())["stages"]) == sorted(STAGES)
-    manifest.write_text("[]")
-    assert Pipeline(cfg)._load_manifest()["stages"] == {}
+    for broken in (manifest.read_bytes()[:60],        # as a crash mid-write would leave it
+                   b'{"stages": {"convert": 5}}'):   # a stage entry that is not an object
+        manifest.write_bytes(broken)
+        assert main(["all", "--config", str(config)]) == 0
+        assert [p.read_bytes() for p in artifacts] == before
+        stages = json.loads(manifest.read_text())["stages"]
+        assert sorted(stages) == sorted(STAGES)
+        assert all(isinstance(entry, dict) for entry in stages.values())
+    (tmp_path / "manifest.json").write_text("[]")   # aside, so the shared run stays whole
+    assert Pipeline(replace(cfg, out=str(tmp_path)))._load_manifest()["stages"] == {}
 
 
 def test_missing_upstream_names_stage(fixture_files):
@@ -151,17 +157,51 @@ def test_missing_upstream_names_stage(fixture_files):
         pipe.run("score")
 
 
-def test_changed_config_invalidates_downstream(completed_run, fixture_files):
+def _artifacts(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def test_changed_config_invalidates_downstream(completed_run, fixture_files, monkeypatch):
     root, record, annotations = fixture_files
-    out3 = root / "run3"
-    shutil.copytree(completed_run[0], out3)
-    text = CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out3)
-    cfg = validate_config(text + "k = 3\n")
-    run("all", cfg)
-    a = json.loads((completed_run[0] / "evaluation.json").read_text())
-    b = json.loads((out3 / "evaluation.json").read_text())
-    assert b["threshold"]["k"] == 3.0
-    assert a["threshold"]["tau"] != b["threshold"]["tau"]
+    ran = []
+
+    def recording(stage, method):
+        def stage_method(self):
+            ran.append(stage)
+            return method(self)
+        return stage_method
+
+    for stage in STAGES:
+        monkeypatch.setattr(Pipeline, f"stage_{stage}",
+                            recording(stage, getattr(Pipeline, f"stage_{stage}")))
+    for key, value, rerun in (("k", 3, STAGES[5:]), ("smoothing_w", 5, STAGES[5:]),
+                              ("representation", "dwt", STAGES[2:]),
+                              ("cutoff_hz", 30, STAGES[1:])):
+        text = re.sub(rf"^{key} = .*\n", "", CONFIG_TEMPLATE, flags=re.M) + f"{key} = {value}\n"
+        warm, cold = root / f"warm_{key}", root / f"cold_{key}"
+        shutil.copytree(completed_run[0], warm)
+        ran.clear()
+        run("all", validate_config(text.format(record=record, annotations=annotations, out=warm)))
+        assert tuple(ran) == rerun, key
+        run("all", validate_config(text.format(record=record, annotations=annotations, out=cold)))
+        assert _artifacts(warm) == _artifacts(cold), key
+
+
+def test_stage_table_covers_every_config_field():
+    declared = {name for io in STAGE_IO.values() for name in io.fields}
+    assert declared == {f.name for f in fields(PipelineConfig)} - {"out"}
+
+
+def test_each_stage_runs_from_its_declared_inputs(completed_run, tmp_path):
+    out, cfg = completed_run
+    for stage, io in STAGE_IO.items():
+        alone = tmp_path / stage
+        alone.mkdir()
+        for name in io.reads:
+            shutil.copy(out / name, alone / name)
+        Pipeline(replace(cfg, out=str(alone))).run(stage)
+        for name in io.writes:
+            assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage, name)
 
 
 class TestCli:
@@ -211,13 +251,13 @@ class TestCli:
         assert main(["convert", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "record.npy").exists()
 
-    def test_seed_override_changes_digest(self, tmp_path, baseline_record):
+    def test_seed_override_keeps_convert_key(self, tmp_path, baseline_record):
         record = tmp_path / "rec.csv"
         record.write_text(serialize_csv(baseline_record))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"record = {record}\nout = {tmp_path}/out\n")
+        manifest = tmp_path / "out" / "manifest.json"
         assert main(["convert", "--config", str(cfg), "--seed", "5"]) == 0
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        key = json.loads(manifest.read_text())["stages"]["convert"]["key"]
         assert main(["convert", "--config", str(cfg), "--seed", "6"]) == 0
-        manifest2 = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["config_digest"] != manifest2["config_digest"]
+        assert json.loads(manifest.read_text())["stages"]["convert"]["key"] == key
