@@ -19,7 +19,6 @@ class ErrorSeries:
     errors: np.ndarray
     indices: np.ndarray
     smoothed: bool = False
-    window: int = 1
 
     def __post_init__(self):
         errors = np.ascontiguousarray(self.errors, dtype=np.float64)
@@ -67,7 +66,7 @@ def smooth(series: ErrorSeries, w: int = DEFAULT_SMOOTHING_W) -> ErrorSeries:
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half, n - 1)
     means = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
-    return ErrorSeries(errors=means, indices=series.indices, smoothed=True, window=w)
+    return ErrorSeries(errors=means, indices=series.indices, smoothed=True)
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class StageSettings(NamedTuple):
     filter: FilterConfig
     segmentation: SegmentationConfig   # at the default rate until preprocess knows the record's
     train: TrainPlan
-    evaluation: EvalConfig             # preictal_len_s is the record's, from record.json
+    evaluation: EvalConfig             # an auto preictal_len_s follows record.json duration_s
 
 
 def stage_settings(cfg: PipelineConfig) -> StageSettings:

@@ -72,10 +72,6 @@ class EdfHeader:
     record_duration_s: float
     signals: list[EdfSignalHeader]
 
-    @property
-    def n_signals(self) -> int:
-        return len(self.signals)
-
 
 def _ascii_field(raw: bytes, name: str) -> str:
     try:

@@ -54,14 +54,24 @@ class TrainedModel:
         return min(self.loss_history)
 
 
-def _epoch_loss(model: Sequential, inputs: np.ndarray, batch_size: int) -> float:
-    """Inference-mode mean reconstruction MSE over a stacked input tensor."""
-    total = 0.0
+def _model_input(spec: ArchitectureSpec, features: np.ndarray) -> np.ndarray:
+    inputs = to_model_input(np.asarray(features, dtype=np.float64), spec.representation)
+    if inputs.shape[1:] != (spec.steps, spec.features):
+        raise DataError(f"feature layout {inputs.shape[1:]} does not match the model's "
+                        f"({spec.steps}, {spec.features})")
+    return inputs
+
+
+def _squared_errors(model: Sequential, inputs: np.ndarray, batch_size: int):
+    """Inference-mode (reconstruction - input) ** 2, one batch at a time."""
     for lo in range(0, len(inputs), batch_size):
         batch = inputs[lo:lo + batch_size]
-        out = model.forward(batch, training=False)
-        total += float(np.sum((out - batch) ** 2))
-    return total / inputs.size
+        yield (model.forward(batch, training=False) - batch) ** 2
+
+
+def _epoch_loss(model: Sequential, inputs: np.ndarray, batch_size: int) -> float:
+    """Inference-mode mean reconstruction MSE over a stacked input tensor."""
+    return sum(float(np.sum(sq)) for sq in _squared_errors(model, inputs, batch_size)) / inputs.size
 
 
 def train(spec: ArchitectureSpec, train_features: np.ndarray, stats: NormalizationStats,
@@ -78,13 +88,7 @@ def train(spec: ArchitectureSpec, train_features: np.ndarray, stats: Normalizati
     """
     if len(train_features) == 0:
         raise DataError("empty training set")
-    inputs = to_model_input(np.asarray(train_features, dtype=np.float64), spec.representation)
-    if inputs.shape[1:] != (spec.steps, spec.features):
-        raise DataError(
-            f"training input {inputs.shape[1:]} does not match architecture "
-            f"layout ({spec.steps}, {spec.features})"
-        )
-
+    inputs = _model_input(spec, train_features)
     n_fit = len(inputs) - int(plan.holdout_fraction * len(inputs))
     fit_set = inputs[:n_fit]
     monitor_set = inputs[n_fit:] if n_fit < len(inputs) else inputs
@@ -132,20 +136,9 @@ def train(spec: ArchitectureSpec, train_features: np.ndarray, stats: Normalizati
 def score(trained: TrainedModel, features_normalized: np.ndarray,
           batch_size: int = 256) -> np.ndarray:
     """Per-segment reconstruction MSE, in segment order (inference mode)."""
-    feats = np.asarray(features_normalized, dtype=np.float64)
-    inputs = to_model_input(feats, trained.spec.representation)
-    if inputs.shape[1:] != (trained.spec.steps, trained.spec.features):
-        raise DataError(
-            f"feature layout {inputs.shape[1:]} does not match the model's "
-            f"({trained.spec.steps}, {trained.spec.features})"
-        )
-    errors = np.empty(len(inputs))
-    per = trained.spec.steps * trained.spec.features
-    for lo in range(0, len(inputs), batch_size):
-        batch = inputs[lo:lo + batch_size]
-        out = trained.model.forward(batch, training=False)
-        errors[lo:lo + len(batch)] = np.sum((out - batch) ** 2, axis=(1, 2)) / per
-    return errors
+    inputs = _model_input(trained.spec, features_normalized)
+    sums = [np.sum(sq, axis=(1, 2)) for sq in _squared_errors(trained.model, inputs, batch_size)]
+    return np.concatenate(sums or [np.empty(0)]) / (trained.spec.steps * trained.spec.features)
 
 
 MODEL_FORMAT_VERSION = 1

@@ -127,12 +127,12 @@ class Relu(Layer):
 class Dropout(Layer):
     """Inverted-scaling dropout: inference is an exact pass-through."""
 
-    def __init__(self, p: float = 0.2, rng: np.random.Generator | None = None):
+    def __init__(self, p: float, rng: np.random.Generator):
         super().__init__()
         if not 0 <= p < 1:
             raise DataError(f"dropout rate must be in [0, 1), got {p}")
         self.p = p
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
 
     def forward(self, x, training=False):
         if not training or self.p == 0:

@@ -4,9 +4,10 @@ Stages: convert -> preprocess -> extract -> train -> score -> evaluate ->
 report.  Each stage writes its artifacts into the output directory and
 records a cache key and the sha256 of each output in manifest.json.  The key
 hashes only what the stage reads (STAGE_IO), so a stage re-runs only when an
-output is missing or changed, or something it reads changed.  With a fixed
-config and seed every artifact byte is reproducible, so deleting an
-intermediate and re-running `all` regenerates it bit-identically.
+output is missing or changed, or something it reads changed.  A stage run on
+its own refuses an input that differs from the sha256 its producer recorded.
+With a fixed config and seed every artifact byte is reproducible, so deleting
+an intermediate and re-running `all` regenerates it bit-identically.
 """
 from __future__ import annotations
 
@@ -29,8 +30,7 @@ from .errors import ConfigError, DataError
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
-from .features import (NormalizationStats, apply_normalization, extract_features,
-                       fit_normalization)
+from .features import apply_normalization, extract_features, fit_normalization
 from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
@@ -49,21 +49,21 @@ class StageIO(NamedTuple):
 
 _TRAIN_PLAN = tuple(f.name for f in fields(TrainPlan))   # each is a PipelineConfig field
 
-# convert writes the resolved preictal_len_s default into record.json
 STAGE_IO = {
-    "convert": StageIO(("record", "annotations", "channel", "patient_id", "preictal_len_s"),
+    "convert": StageIO(("record", "annotations", "channel", "patient_id"),
                        (), ("record.npy", "record.json", "annotations.csv")),
     "preprocess": StageIO(("cutoff_hz", "filter_order", "zero_phase", "window_s", "overlap_s",
-                           "postictal_len_s"),
+                           "preictal_len_s", "postictal_len_s"),
                           ("record.npy", "record.json", "annotations.csv"), ("segments.bin",)),
     "extract": StageIO(("representation",), ("segments.bin",), ("features.bin",)),
     "train": StageIO(("architecture", "representation") + _TRAIN_PLAN,
                      ("record.json", "segments.bin", "features.bin"),
-                     ("model.params", "model.json", "stats.params", "baseline.json")),
+                     ("model.params", "model.json", "baseline.json")),
     "score": StageIO(("representation",),
-                     ("features.bin", "model.params", "model.json", "stats.params",
-                      "baseline.json"), ("scores.params",)),
-    "evaluate": StageIO(("smoothing_w", "k", "postictal_len_s", "refractory_gap_s"),
+                     ("features.bin", "model.params", "model.json", "baseline.json"),
+                     ("scores.params",)),
+    "evaluate": StageIO(("smoothing_w", "k", "preictal_len_s", "postictal_len_s",
+                         "refractory_gap_s"),
                         ("record.json", "annotations.csv", "segments.bin", "scores.params"),
                         ("evaluation.json", "errors.csv")),
     "report": StageIO(("smoothing_w", "architecture", "representation", "window_s"),
@@ -112,7 +112,10 @@ class Pipeline:
             manifest = None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
             manifest = {"stages": {}}   # absent or unusable: every stage re-runs
-        return {"stages": manifest["stages"], "toolkit_version": __version__}
+        # an entry that is not an object with an outputs object re-runs its stage
+        stages = {name: entry for name, entry in manifest["stages"].items()
+                  if isinstance(entry, dict) and isinstance(entry.get("outputs"), dict)}
+        return {"stages": stages, "toolkit_version": __version__}
 
     def _save_manifest(self, manifest: dict):
         # written aside and renamed, so a crash never leaves half a manifest
@@ -132,10 +135,23 @@ class Pipeline:
                     raise DataError(f"cannot read {what} file {name}: {exc}") from exc
         return inputs
 
-    def _stage_key(self, stage: str, known: dict[str, str | None]) -> str:
+    def _input_digest(self, name: str, manifest: dict,
+                      known: dict[str, str | None]) -> str | None:
+        """An input's sha256; one not yet checked in this run must still be the
+        bytes its producer recorded in the manifest."""
+        if name not in known:
+            known[name] = _file_sha256(self.out / name)
+            producer = _PRODUCER[name]
+            recorded = manifest["stages"].get(producer, {}).get("outputs", {}).get(name)
+            if known[name] and recorded and known[name] != recorded:
+                raise DataError(f"artifact {name!r} changed after the '{producer}' stage "
+                                f"wrote it; re-run '{producer}'")
+        return known[name]
+
+    def _stage_key(self, stage: str, manifest: dict, known: dict[str, str | None]) -> str:
         io = STAGE_IO[stage]
         inputs = [__version__, stage, {f: getattr(self.cfg, f) for f in io.fields},
-                  [known.get(name) or _file_sha256(self.out / name) for name in io.reads]]
+                  [self._input_digest(name, manifest, known) for name in io.reads]]
         if stage == "convert":
             self._inputs = self._read_inputs()
             inputs.append([hashlib.sha256(data).hexdigest() for data in self._inputs])
@@ -164,10 +180,9 @@ class Pipeline:
             raise ConfigError(f"cannot use output directory {self.out}: {exc}") from exc
         manifest, known = self._load_manifest(), {}   # known: digests checked in this run
         for name in names:
-            key = self._stage_key(name, known)
-            entry = manifest["stages"].get(name)   # a non-object entry counts as absent
-            if (isinstance(entry, dict) and entry.get("key") == key
-                    and entry.get("outputs") == self._digests(name)):
+            key = self._stage_key(name, manifest, known)
+            entry = manifest["stages"].get(name, {})
+            if entry.get("key") == key and entry.get("outputs") == self._digests(name):
                 known.update(entry["outputs"])
                 self._inputs = []
                 continue
@@ -200,19 +215,18 @@ class Pipeline:
                             f"{self.cfg.representation!r}; re-run 'extract'")
         return feats
 
-    def _load_model(self):
-        _, stats_arrays = load_arrays(self._require("stats.params").read_bytes())
-        stats = NormalizationStats(mean=stats_arrays["mean"], std=stats_arrays["std"])
-        blob = self._require("model.params").read_bytes()
-        manifest_json = self._require("model.json").read_text()
-        return load_trained(blob, manifest_json, stats)
-
     def _load_scores(self):
         tag, arrays = load_arrays(self._require("scores.params").read_bytes())
         if tag != "scores":
             raise DataError(f"scores.params has tag {tag!r}")
-        return (arrays["train_indices"].astype(np.int64), arrays["train_errors"],
-                arrays["test_indices"].astype(np.int64), arrays["test_errors"])
+        return (arrays["train_errors"], arrays["test_indices"].astype(np.int64),
+                arrays["test_errors"])
+
+    def _preictal_len_s(self, meta: dict) -> float:
+        """The configured pre-ictal interval, or the default for the record's length."""
+        if self.cfg.preictal_len_s is None:
+            return default_preictal_len_s(meta["duration_s"])
+        return self.cfg.preictal_len_s
 
     # ---- stages -------------------------------------------------------------
 
@@ -226,17 +240,11 @@ class Pipeline:
         annotations = load_annotations(_decode(inputs.pop(), "annotations")) if inputs else []
         record = replace(record, patient_id=self.cfg.patient_id or record.patient_id,
                          annotations=annotations)
-        preictal_len_s = self.cfg.preictal_len_s
-        if preictal_len_s is None:
-            preictal_len_s = default_preictal_len_s(record.duration_s)
-
         np.save(self.out / "record.npy", record.samples)
         (self.out / "record.json").write_text(_json_dumps({
             "patient_id": record.patient_id,
             "sampling_rate_hz": record.sampling_rate_hz,
-            "n_samples": len(record.samples),
             "duration_s": record.duration_s,
-            "preictal_len_s": preictal_len_s,
         }))
         (self.out / "annotations.csv").write_text(serialize_annotations(annotations))
 
@@ -249,7 +257,7 @@ class Pipeline:
         filtered = lowpass(record, self.settings.filter)
         seg_cfg = replace(self.settings.segmentation, sampling_rate_hz=record.sampling_rate_hz)
         segments = label_phases(segment(filtered, seg_cfg), anns,
-                                preictal_len_s=meta["preictal_len_s"],
+                                preictal_len_s=self._preictal_len_s(meta),
                                 postictal_len_s=self.settings.evaluation.postictal_len_s)
         (self.out / "segments.bin").write_bytes(dump_segments(segments))
 
@@ -270,8 +278,6 @@ class Pipeline:
         blob, manifest_json = dump_trained(trained)
         (self.out / "model.params").write_bytes(blob)
         (self.out / "model.json").write_text(manifest_json + "\n")
-        (self.out / "stats.params").write_bytes(dump_arrays(
-            {"mean": trained.stats.mean, "std": trained.stats.std}, "norm_stats"))
         (self.out / "baseline.json").write_text(_json_dumps({
             "n_train": int(len(train_idx)),
             "n_test": int(len(test_idx)),
@@ -280,13 +286,12 @@ class Pipeline:
 
     def stage_score(self):
         feats = self._features()
-        baseline = json.loads(self._require("baseline.json").read_text())
-        trained = self._load_model()
-        n_train = baseline["n_train"]
-        normalized = apply_normalization(feats, trained.stats)
-        all_errors = score(trained, normalized)
+        n_train = json.loads(self._require("baseline.json").read_text())["n_train"]
+        stats = fit_normalization(feats[:n_train])   # as train fitted them
+        trained = load_trained(self._require("model.params").read_bytes(),
+                               self._require("model.json").read_text(), stats)
+        all_errors = score(trained, apply_normalization(feats, stats))
         arrays = {
-            "train_indices": np.arange(n_train, dtype=np.float64),
             "train_errors": all_errors[:n_train],
             "test_indices": np.arange(n_train, len(feats), dtype=np.float64),
             "test_errors": all_errors[n_train:],
@@ -295,11 +300,11 @@ class Pipeline:
 
     def stage_evaluate(self):
         segments, meta, anns = self._segments(), self._record_meta(), self._annotations()
-        train_idx, train_err, test_idx, test_err = self._load_scores()
-        eval_cfg = replace(self.settings.evaluation, preictal_len_s=meta["preictal_len_s"])
+        train_err, test_idx, test_err = self._load_scores()
+        eval_cfg = replace(self.settings.evaluation, preictal_len_s=self._preictal_len_s(meta))
         w = self.cfg.smoothing_w
 
-        train_raw = series_from_errors(train_err, train_idx)
+        train_raw = series_from_errors(train_err)
         test_raw = series_from_errors(test_err, test_idx)
         train_smooth = smooth(train_raw, w)
         test_smooth = smooth(test_raw, w)
@@ -347,7 +352,7 @@ class Pipeline:
     def stage_report(self):
         segments, anns = self._segments(), self._annotations()
         evaluation = json.loads(self._require("evaluation.json").read_text())
-        _, _, test_idx, test_err = self._load_scores()
+        _, test_idx, test_err = self._load_scores()
         patient_id = evaluation["patient_id"]
 
         result = evaluation["metrics"]

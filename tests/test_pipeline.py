@@ -11,6 +11,7 @@ from preictal.cli import main
 from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
 from preictal.ingest import serialize_annotations, serialize_csv
+from preictal.nn import dump_arrays, load_arrays
 from preictal.pipeline import STAGE_IO, STAGES, Pipeline, run
 
 CONFIG_TEMPLATE = """
@@ -54,8 +55,7 @@ def completed_run(fixture_files):
 def test_all_artifacts_present(completed_run):
     out, _ = completed_run
     for name in ("record.npy", "record.json", "annotations.csv", "segments.bin",
-                 "features.bin", "model.params", "model.json", "stats.params",
-                 "baseline.json", "scores.params", "evaluation.json", "errors.csv",
+                 "features.bin", "model.params", "model.json", "baseline.json", "scores.params", "evaluation.json", "errors.csv",
                  "metrics.json", "metrics.csv", "report.svg", "manifest.json"):
         assert (out / name).exists(), name
 
@@ -176,7 +176,9 @@ def test_changed_config_invalidates_downstream(completed_run, fixture_files, mon
                             recording(stage, getattr(Pipeline, f"stage_{stage}")))
     for key, value, rerun in (("k", 3, STAGES[5:]), ("smoothing_w", 5, STAGES[5:]),
                               ("representation", "dwt", STAGES[2:]),
-                              ("cutoff_hz", 30, STAGES[1:])):
+                              ("cutoff_hz", 30, STAGES[1:]),
+                              ("preictal_len_s", 200,
+                               ("preprocess", "extract", "train", "evaluate", "report"))):
         text = re.sub(rf"^{key} = .*\n", "", CONFIG_TEMPLATE, flags=re.M) + f"{key} = {value}\n"
         warm, cold = root / f"warm_{key}", root / f"cold_{key}"
         shutil.copytree(completed_run[0], warm)
@@ -202,6 +204,36 @@ def test_each_stage_runs_from_its_declared_inputs(completed_run, tmp_path):
         Pipeline(replace(cfg, out=str(alone))).run(stage)
         for name in io.writes:
             assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage, name)
+
+
+def _shift_test_indices(data: bytes) -> bytes:
+    tag, arrays = load_arrays(data)
+    return dump_arrays(arrays | {"test_indices": arrays["test_indices"] + 1e6}, tag)
+
+
+@pytest.mark.parametrize("name, stage, producer, edit", [
+    ("model.json", "score", "train", lambda data: b'{"x": 1'),
+    ("baseline.json", "score", "train", lambda data: b"{}"),
+    ("record.json", "preprocess", "convert", lambda data: b"{}"),
+    ("record.npy", "preprocess", "convert", lambda data: data[:100]),
+    ("scores.params", "evaluate", "score", lambda data: dump_arrays({}, "scores")),
+    ("scores.params", "evaluate", "score", _shift_test_indices),
+])
+def test_stage_alone_refuses_edited_input(completed_run, fixture_files, tmp_path, capsys,
+                                          name, stage, producer, edit):
+    root, record, annotations = fixture_files
+    out = tmp_path / "out"
+    shutil.copytree(completed_run[0], out)
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out))
+    assert main([stage, "--config", str(config)]) == 0
+    original = (out / name).read_bytes()
+    (out / name).write_bytes(edit(original))
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert repr(name) in err and f"re-run '{producer}'" in err
+    assert main(["all", "--config", str(config)]) == 0
+    assert (out / name).read_bytes() == original
 
 
 class TestCli:
