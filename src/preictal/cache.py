@@ -1,12 +1,16 @@
 """Chunked binary caches for segment sets and feature tensors.
 
 Both formats are little-endian with a fixed header followed by one chunk per
-item; byte layouts are documented in docs/formats.md.
+item; byte layouts are documented in docs/formats.md.  A feature cache can
+also be written and read a block of rows at a time, so a long record's
+feature tensor is never resident whole.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -61,21 +65,50 @@ def load_segments(data: bytes) -> SegmentSet:
     return SegmentSet(body["samples"], body["start"], body["phase"], cfg)
 
 
-def dump_features(features: np.ndarray, representation: str) -> bytes:
-    if representation not in REPRESENTATIONS:
-        raise DataError(f"unknown representation {representation!r}")
+class FeatureLayout(NamedTuple):
+    """What an FTR1 header declares: the representation, the shape of one
+    row (one segment's feature tensor) and the number of rows."""
+    representation: str
+    item_shape: tuple[int, ...]
+    count: int
+
+    @property
+    def header(self) -> bytes:
+        if self.representation not in REPRESENTATIONS:
+            raise DataError(f"unknown representation {self.representation!r}")
+        return (FEATURES_MAGIC
+                + struct.pack("<IB3xI", VERSION, REPRESENTATIONS.index(self.representation),
+                              len(self.item_shape))
+                + struct.pack(f"<{len(self.item_shape)}I", *self.item_shape)
+                + struct.pack("<I", self.count))
+
+    @property
+    def offset(self) -> int:
+        """Bytes before the first row."""
+        return 20 + 4 * len(self.item_shape)
+
+    @property
+    def row_bytes(self) -> int:
+        return 8 * math.prod(self.item_shape)
+
+
+_FEATURES_HEADER_MAX = FeatureLayout("dwt", (1,) * MAX_NDIM, 0).offset   # the longest header
+
+
+def dump_features(features: np.ndarray, representation: str, header: bool = True) -> bytes:
+    """An FTR1 file's bytes for the stacked features: the header, then the
+    rows.  header=False gives the rows alone, to follow a header written
+    for the whole file."""
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim < 2:
         raise DataError("features must be stacked with items along axis 0")
-    item_shape = feats.shape[1:]
-    head = FEATURES_MAGIC + struct.pack("<IB3xI", VERSION, REPRESENTATIONS.index(representation),
-                                        len(item_shape))
-    head += struct.pack(f"<{len(item_shape)}I", *item_shape)
-    head += struct.pack("<I", feats.shape[0])
-    return head + feats.tobytes()
+    head = FeatureLayout(representation, feats.shape[1:], len(feats)).header
+    return head + feats.tobytes() if header else feats.tobytes()
 
 
-def load_features(data: bytes) -> tuple[np.ndarray, str]:
+def _features_layout(data: bytes, size: int) -> FeatureLayout:
+    """The layout of the FTR1 header at the start of data, checked against
+    the size in bytes of the whole file."""
     if data[:4] != FEATURES_MAGIC:
         raise DataError(f"bad feature-cache magic {data[:4]!r}")
     (version, tag, ndim), pos = unpack_header("<IB3xI", data, 4, "feature cache")
@@ -87,9 +120,40 @@ def load_features(data: bytes) -> tuple[np.ndarray, str]:
         raise DataError(f"feature cache declares {ndim} axes per item")
     shape, pos = unpack_header(f"<{ndim}I", data, pos, "feature cache")
     (count,), pos = unpack_header("<I", data, pos, "feature cache")
+    if not all(shape):
+        raise DataError(f"feature cache declares empty items of shape {shape}")
     check_shape((count, *shape), "feature cache")
-    expected = pos + 8 * math.prod(shape) * count
-    if len(data) != expected:
-        raise DataError(f"feature cache truncated: {len(data)} bytes, expected {expected}")
-    feats = np.frombuffer(data, dtype="<f8", offset=pos).reshape(count, *shape).copy()
-    return feats, REPRESENTATIONS[tag]
+    layout = FeatureLayout(REPRESENTATIONS[tag], shape, count)
+    expected = layout.offset + layout.row_bytes * count
+    if size != expected:
+        raise DataError(f"feature cache truncated: {size} bytes, expected {expected}")
+    return layout
+
+
+def read_features_layout(f: BinaryIO) -> FeatureLayout:
+    """The checked layout of the FTR1 file open for reading in f."""
+    size = os.fstat(f.fileno()).st_size
+    f.seek(0)
+    return _features_layout(f.read(_FEATURES_HEADER_MAX), size)
+
+
+def read_feature_rows(f: BinaryIO, layout: FeatureLayout, lo: int, hi: int) -> bytearray:
+    """The bytes of rows lo..hi-1 of an FTR1 file, read into a buffer of
+    their own: a block costs its own size, never the file's."""
+    f.seek(layout.offset + lo * layout.row_bytes)
+    data = bytearray((hi - lo) * layout.row_bytes)
+    if f.readinto(data) != len(data):
+        raise DataError("feature cache shrank while it was read")
+    return data
+
+
+def load_features(data, layout: FeatureLayout | None = None) -> tuple[np.ndarray, str]:
+    """Decode FTR1 bytes: a whole file, or, given the layout read from a
+    file's header, whole rows read from it.  The array is a view of data."""
+    if layout is None:
+        layout = _features_layout(data, len(data))
+        data = memoryview(data)[layout.offset:]
+    if len(data) % layout.row_bytes:
+        raise DataError(f"{len(data)} bytes are not whole feature rows of {layout.row_bytes}")
+    feats = np.frombuffer(data, dtype="<f8").reshape(-1, *layout.item_shape)
+    return feats, layout.representation

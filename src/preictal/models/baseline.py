@@ -23,8 +23,10 @@ def select_baseline(segments: SegmentSet, record_duration_s: float,
     """Split segment indices into (train, test).
 
     Train = the initial contiguous INTERICTAL run, truncated to
-    min(30 min, 20% of the record); test = everything after it.  Requires
-    phases to be labeled first (label_phases).
+    min(30 min, 20% of the record); test = everything after it.  Train is
+    always the prefix 0..n_train-1, so its feature rows are the first
+    n_train rows of the record's.  Requires phases to be labeled first
+    (label_phases).
     """
     phases = segments.phases
     run_end = 0

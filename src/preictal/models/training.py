@@ -62,10 +62,25 @@ def _model_input(spec: ArchitectureSpec, features: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _squared_errors(model: Sequential, inputs: np.ndarray, batch_size: int):
-    """Inference-mode (reconstruction - input) ** 2, one batch at a time."""
-    for lo in range(0, len(inputs), batch_size):
-        batch = inputs[lo:lo + batch_size]
+def row_blocks(count: int, size: int, min_rows: int = 1):
+    """(lo, hi) bounds of consecutive blocks of size rows covering
+    range(count); a last block of fewer than min_rows rows joins the one
+    before it."""
+    lo = 0
+    while lo < count:
+        hi = lo + size
+        if count - hi < min_rows:
+            hi = count
+        yield lo, hi
+        lo = hi
+
+
+def _squared_errors(model: Sequential, inputs: np.ndarray, batch_size: int,
+                    min_rows: int = 1):
+    """Inference-mode (reconstruction - input) ** 2, one batch at a time; a
+    last batch of fewer than min_rows rows joins the batch before it."""
+    for lo, hi in row_blocks(len(inputs), batch_size, min_rows):
+        batch = inputs[lo:hi]
         yield (model.forward(batch, training=False) - batch) ** 2
 
 
@@ -133,11 +148,20 @@ def train(spec: ArchitectureSpec, train_features: np.ndarray, stats: Normalizati
     return TrainedModel(spec=spec, model=model, stats=stats, plan=plan, loss_history=history)
 
 
+SCORE_BATCH = 32   # rows per inference batch: its temporaries grow with it, its speed does not
+
+
 def score(trained: TrainedModel, features_normalized: np.ndarray,
-          batch_size: int = 256) -> np.ndarray:
-    """Per-segment reconstruction MSE, in segment order (inference mode)."""
+          batch_size: int = SCORE_BATCH) -> np.ndarray:
+    """Per-segment reconstruction MSE, in segment order (inference mode).
+
+    No batch holds a single row unless the input does: a one-row product takes
+    another BLAS path and rounds differently, so a one-row tail joins the batch
+    before it and a segment's score does not depend on the record's length.
+    """
     inputs = _model_input(trained.spec, features_normalized)
-    sums = [np.sum(sq, axis=(1, 2)) for sq in _squared_errors(trained.model, inputs, batch_size)]
+    sums = [np.sum(sq, axis=(1, 2))
+            for sq in _squared_errors(trained.model, inputs, batch_size, min_rows=2)]
     return np.concatenate(sums or [np.empty(0)]) / (trained.spec.steps * trained.spec.features)
 
 
@@ -168,8 +192,8 @@ def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
     return blob, manifest
 
 
-def load_trained(blob: bytes, manifest_json: str, stats: NormalizationStats) -> TrainedModel:
-    meta = json.loads(manifest_json)
+def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedModel:
+    """The model from dump_trained's parameter bytes and its parsed sidecar."""
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model manifest version {meta.get('format_version')}")
     if _stats_digest(stats) != meta["normalization_digest"]:

@@ -5,6 +5,10 @@ seeded PCG64 generators (numpy default_rng), so a fixed seed reproduces
 parameters bit-for-bit at a fixed BLAS thread count (for example
 OPENBLAS_NUM_THREADS=1); matrix products may round differently when the
 thread count changes.
+
+Layers keep backward state only after a training forward: inference
+(`forward(training=False)`) stores nothing, so scoring costs no more memory
+than the activations in flight, and a backward after it raises DataError.
 """
 import numpy as np
 

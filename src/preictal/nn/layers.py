@@ -2,9 +2,11 @@
 
 Everything is float64 and batch-first: sequence tensors are
 (batch, steps, features).  Each layer caches what its backward pass needs
-during a training-mode forward; backward returns the input gradient and
-accumulates parameter gradients in .grads.  Gradients are validated against
-central finite differences in the test suite.
+during a training-mode forward only; an inference forward keeps nothing, so
+a backward after it raises instead of reusing an older batch's cache.
+Backward returns the input gradient and accumulates parameter gradients in
+.grads.  Gradients are validated against central finite differences in the
+test suite.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ class Layer:
 
     def __getattr__(self, name):
         # saved activations live in single-underscore attributes; reaching for
-        # one that does not exist means backward ran before forward
+        # one that does not exist means backward ran before a training forward
         if name.startswith("_") and not name.startswith("__"):
             raise DataError(f"{type(self).__name__}.backward called before forward")
         raise AttributeError(name)
@@ -69,6 +71,14 @@ class Layer:
             self.grads[k][...] = 0.0
         for _, child in self.children:
             child.zero_grads()
+
+    def _keep(self, training: bool, *state):
+        """Save what backward needs after a training forward; an inference
+        forward drops it, so a backward that follows one fails loudly."""
+        if training:
+            self._cache = state
+        else:
+            self.__dict__.pop("_cache", None)
 
     def _register(self, name: str, value: np.ndarray):
         self.params[name] = value
@@ -104,11 +114,12 @@ class Dense(Layer):
     def forward(self, x, training=False):
         if x.shape[-1] != self.n_in:
             _shape_error(self, f"(..., {self.n_in})", x.shape)
-        self._x = x
+        self._keep(training, x)
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad):
-        x2 = self._x.reshape(-1, self.n_in)
+        (x,) = self._cache
+        x2 = x.reshape(-1, self.n_in)
         g2 = grad.reshape(-1, self.n_out)
         self.grads["w"] += x2.T @ g2
         self.grads["b"] += g2.sum(axis=0)
@@ -117,11 +128,13 @@ class Dense(Layer):
 
 class Relu(Layer):
     def forward(self, x, training=False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._keep(training, mask)
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad):
-        return np.where(self._mask, grad, 0.0)
+        (mask,) = self._cache
+        return np.where(mask, grad, 0.0)
 
 
 class Dropout(Layer):
@@ -135,14 +148,15 @@ class Dropout(Layer):
         self.rng = rng
 
     def forward(self, x, training=False):
-        if not training or self.p == 0:
-            self._mask = None
-            return x
-        self._mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
+        mask = None
+        if training and self.p > 0:
+            mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        self._keep(training, mask)
+        return x if mask is None else x * mask
 
     def backward(self, grad):
-        return grad if self._mask is None else grad * self._mask
+        (mask,) = self._cache
+        return grad if mask is None else grad * mask
 
 
 class Conv1d(Layer):
@@ -165,23 +179,23 @@ class Conv1d(Layer):
         b, t, _ = x.shape
         pad = self.dilation * (self.kernel - 1) // 2
         xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-        self._xp_shape, self._t, self._pad = xp.shape, t, pad
         windows = np.stack([xp[:, k * self.dilation:k * self.dilation + t, :]
                             for k in range(self.kernel)], axis=2)  # (b, t, kernel, in)
-        self._windows = windows
+        self._keep(training, windows, xp.shape, pad)
         out = windows.reshape(b, t, -1) @ self.params["w"].reshape(-1, self.out_ch)
         return out + self.params["b"]
 
     def backward(self, grad):
-        b, t = grad.shape[0], self._t
+        windows, xp_shape, pad = self._cache
+        t = grad.shape[1]
         g2 = grad.reshape(-1, self.out_ch)
-        win2 = self._windows.reshape(-1, self.kernel * self.in_ch)
+        win2 = windows.reshape(-1, self.kernel * self.in_ch)
         self.grads["w"] += (win2.T @ g2).reshape(self.kernel, self.in_ch, self.out_ch)
         self.grads["b"] += g2.sum(axis=0)
-        dxp = np.zeros(self._xp_shape)
+        dxp = np.zeros(xp_shape)
         for k in range(self.kernel):
             dxp[:, k * self.dilation:k * self.dilation + t, :] += grad @ self.params["w"][k].T
-        return dxp[:, self._pad:self._pad + t, :]
+        return dxp[:, pad:pad + t, :]
 
 
 class Lstm(Layer):
@@ -206,7 +220,7 @@ class Lstm(Layer):
         nh = self.n_hidden
         h = np.zeros((b, nh))
         c = np.zeros((b, nh))
-        self._cache = []
+        steps = []
         out = np.empty((b, t, nh))
         for step in range(t):
             zin = np.concatenate([x[:, step, :], h], axis=1)
@@ -219,8 +233,10 @@ class Lstm(Layer):
             tc = np.tanh(c_new)
             h = go * tc
             out[:, step, :] = h
-            self._cache.append((zin, gi, gf, gg, go, c, c_new, tc))
+            if training:
+                steps.append((zin, gi, gf, gg, go, c, c_new, tc))
             c = c_new
+        self._keep(training, *steps)
         return out
 
     def backward(self, grad):
@@ -254,9 +270,11 @@ class Lstm(Layer):
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along axis, computed in place: x is overwritten and returned."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 class MultiHeadAttention(Layer):
@@ -287,16 +305,12 @@ class MultiHeadAttention(Layer):
         q = self._split(x @ p["wq"] + p["bq"])
         k = self._split(x @ p["wk"] + p["bk"])
         v = self._split(x @ p["wv"] + p["bv"])
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.head_dim)
-        attn = softmax(scores, axis=-1)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= np.sqrt(self.head_dim)
+        attn = softmax(scores, axis=-1)   # in the scores' buffer
         ctx = self._merge(attn @ v)
-        self._cache = (x, q, k, v, attn, ctx)
+        self._keep(training, x, q, k, v, attn, ctx)
         return ctx @ p["wo"] + p["bo"]
-
-    @property
-    def last_attention(self) -> np.ndarray:
-        """(batch, heads, steps, steps) softmax weights from the last forward."""
-        return self._cache[4]
 
     def backward(self, grad):
         x, q, k, v, attn, ctx = self._cache
@@ -351,17 +365,15 @@ class BatchNorm(Layer):
             var = self.buffers["running_var"]
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat = (flat - mean) * ivar
-        self._cache = (xhat, ivar, training, x.shape)
+        self._keep(training, xhat, ivar, x.shape)
         return (self.params["gamma"] * xhat + self.params["beta"]).reshape(x.shape)
 
     def backward(self, grad):
-        xhat, ivar, training, shape = self._cache
+        xhat, ivar, shape = self._cache
         g2 = grad.reshape(-1, self.dim)
         self.grads["gamma"] += (g2 * xhat).sum(axis=0)
         self.grads["beta"] += g2.sum(axis=0)
         dxhat = g2 * self.params["gamma"]
-        if not training:
-            return (dxhat * ivar).reshape(shape)
         n = g2.shape[0]
         dx = (ivar / n) * (n * dxhat - dxhat.sum(axis=0)
                            - xhat * (dxhat * xhat).sum(axis=0))
@@ -382,7 +394,7 @@ class LayerNorm(Layer):
         var = x.var(axis=-1, keepdims=True)
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * ivar
-        self._cache = (xhat, ivar)
+        self._keep(training, xhat, ivar)
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, grad):
@@ -415,11 +427,12 @@ class TakeLast(Layer):
     """(batch, steps, features) -> (batch, features): the last step."""
 
     def forward(self, x, training=False):
-        self._shape = x.shape
+        self._keep(training, x.shape)
         return x[:, -1, :]
 
     def backward(self, grad):
-        dx = np.zeros(self._shape)
+        (shape,) = self._cache
+        dx = np.zeros(shape)
         dx[:, -1, :] = grad
         return dx
 

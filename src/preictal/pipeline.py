@@ -24,18 +24,19 @@ import numpy as np
 from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
-from .cache import dump_features, dump_segments, load_features, load_segments
+from .cache import (FeatureLayout, dump_features, dump_segments, load_features, load_segments,
+                    read_feature_rows, read_features_layout)
 from .config import PipelineConfig, stage_settings
 from .errors import ConfigError, DataError
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
-from .features import apply_normalization, extract_features, fit_normalization
+from .features import apply_normalization, extract_features, feature_shape, fit_normalization
 from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
-from .models.training import score
+from .models.training import SCORE_BATCH, row_blocks, score
 from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
@@ -72,6 +73,16 @@ STAGE_IO = {
 }
 STAGES = tuple(STAGE_IO)
 _PRODUCER = {name: stage for stage, io in STAGE_IO.items() for name in io.writes}
+
+# Extract, train and score move features.bin through memory in blocks of
+# about this many bytes, so a long record's feature tensor is never resident
+# whole.  A block is a whole number of score batches: its batch edges are
+# those of scoring the whole tensor at once.
+FEATURE_BLOCK_BYTES = 16 << 20
+
+
+def _block_rows(layout: FeatureLayout) -> int:
+    return max(1, FEATURE_BLOCK_BYTES // (SCORE_BATCH * layout.row_bytes)) * SCORE_BATCH
 
 
 def _json_dumps(obj) -> str:
@@ -199,8 +210,20 @@ class Pipeline:
 
     # ---- artifact readers: one per artifact -------------------------------
 
+    def _json(self, name: str) -> dict:
+        """A JSON artifact's top-level object."""
+        try:
+            value = json.loads(self._require(name).read_bytes())
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise DataError(f"artifact {name!r} is not valid JSON ({exc}); "
+                            f"re-run '{_PRODUCER[name]}'") from exc
+        if not isinstance(value, dict):
+            raise DataError(f"artifact {name!r} holds a JSON {type(value).__name__}, not an "
+                            f"object; re-run '{_PRODUCER[name]}'")
+        return value
+
     def _record_meta(self) -> dict:
-        return json.loads(self._require("record.json").read_text())
+        return self._json("record.json")
 
     def _annotations(self) -> list[SeizureAnnotation]:
         return load_annotations(self._require("annotations.csv").read_text())
@@ -208,12 +231,24 @@ class Pipeline:
     def _segments(self) -> SegmentSet:
         return load_segments(self._require("segments.bin").read_bytes())
 
-    def _features(self) -> np.ndarray:
-        feats, rep = load_features(self._require("features.bin").read_bytes())
-        if rep != self.cfg.representation:
-            raise DataError(f"feature cache holds {rep!r}, config wants "
+    def _features_layout(self, f) -> FeatureLayout:
+        """The layout of features.bin, open for reading in f."""
+        layout = read_features_layout(f)
+        if layout.representation != self.cfg.representation:
+            raise DataError(f"feature cache holds {layout.representation!r}, config wants "
                             f"{self.cfg.representation!r}; re-run 'extract'")
-        return feats
+        return layout
+
+    @staticmethod
+    def _feature_rows(f, layout: FeatureLayout, lo: int, hi: int) -> np.ndarray:
+        return load_features(read_feature_rows(f, layout, lo, hi), layout)[0]
+
+    def _n_train(self, layout: FeatureLayout) -> int:
+        n_train = self._json("baseline.json").get("n_train")
+        if type(n_train) is not int or not 0 <= n_train <= layout.count:
+            raise DataError(f"artifact 'baseline.json' holds n_train {n_train!r} for "
+                            f"{layout.count} feature rows; re-run 'train'")
+        return n_train
 
     def _load_scores(self):
         tag, arrays = load_arrays(self._require("scores.params").read_bytes())
@@ -262,18 +297,29 @@ class Pipeline:
         (self.out / "segments.bin").write_bytes(dump_segments(segments))
 
     def stage_extract(self):
-        segments = self._segments()
-        feats = extract_features(segments, self.cfg.representation)
-        (self.out / "features.bin").write_bytes(dump_features(feats, self.cfg.representation))
+        segments, rep = self._segments(), self.cfg.representation
+        layout = FeatureLayout(rep, feature_shape(rep, segments.config.window_samples),
+                               len(segments))
+        with (self.out / "features.bin").open("wb") as f:
+            f.write(layout.header)
+            for lo, hi in row_blocks(len(segments), _block_rows(layout)):
+                f.write(dump_features(extract_features(segments.rows(lo, hi), rep), rep,
+                                      header=False))
 
     def stage_train(self):
-        segments, feats, plan = self._segments(), self._features(), self.settings.train
+        segments, plan = self._segments(), self.settings.train
         train_idx, test_idx = select_baseline(segments, self._record_meta()["duration_s"],
                                               min_segments=plan.min_baseline_segments)
-        stats = fit_normalization(feats[train_idx])
+        with self._require("features.bin").open("rb") as f:
+            layout = self._features_layout(f)
+            if layout.count != len(segments):
+                raise DataError(f"features.bin holds {layout.count} rows for {len(segments)} "
+                                f"segments; re-run 'extract'")
+            feats = self._feature_rows(f, layout, 0, len(train_idx))   # the baseline prefix
+        stats = fit_normalization(feats)
         spec = build(self.cfg.architecture, self.cfg.representation,
                      segments.config.window_samples)
-        trained = train(spec, apply_normalization(feats[train_idx], stats), stats, plan)
+        trained = train(spec, apply_normalization(feats, stats), stats, plan)
 
         blob, manifest_json = dump_trained(trained)
         (self.out / "model.params").write_bytes(blob)
@@ -285,15 +331,20 @@ class Pipeline:
         }))
 
     def stage_score(self):
-        feats = self._features()
-        n_train = json.loads(self._require("baseline.json").read_text())["n_train"]
-        stats = fit_normalization(feats[:n_train])   # as train fitted them
-        trained = load_trained(self._require("model.params").read_bytes(),
-                               self._require("model.json").read_text(), stats)
-        all_errors = score(trained, apply_normalization(feats, stats))
+        with self._require("features.bin").open("rb") as f:
+            layout = self._features_layout(f)
+            n_train = self._n_train(layout)
+            # as train fitted them
+            stats = fit_normalization(self._feature_rows(f, layout, 0, n_train))
+            trained = load_trained(self._require("model.params").read_bytes(),
+                                   self._json("model.json"), stats)
+            # a one-row last block would be a one-row score batch: it joins the block before
+            all_errors = np.concatenate([
+                score(trained, apply_normalization(self._feature_rows(f, layout, lo, hi), stats))
+                for lo, hi in row_blocks(layout.count, _block_rows(layout), min_rows=2)])
         arrays = {
             "train_errors": all_errors[:n_train],
-            "test_indices": np.arange(n_train, len(feats), dtype=np.float64),
+            "test_indices": np.arange(n_train, layout.count, dtype=np.float64),
             "test_errors": all_errors[n_train:],
         }
         (self.out / "scores.params").write_bytes(dump_arrays(arrays, "scores"))
@@ -351,7 +402,7 @@ class Pipeline:
 
     def stage_report(self):
         segments, anns = self._segments(), self._annotations()
-        evaluation = json.loads(self._require("evaluation.json").read_text())
+        evaluation = self._json("evaluation.json")
         _, test_idx, test_err = self._load_scores()
         patient_id = evaluation["patient_id"]
 

@@ -87,6 +87,11 @@ class SegmentSet:
     def __len__(self) -> int:
         return len(self.samples)
 
+    def rows(self, lo: int, hi: int) -> "SegmentSet":
+        """Segments lo..hi-1 as a set of their own, viewing these arrays."""
+        return SegmentSet(self.samples[lo:hi], self.start_samples[lo:hi],
+                          self.phases[lo:hi], self.config)
+
     def start_times_s(self) -> np.ndarray:
         return self.start_samples / self.config.sampling_rate_hz
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from preictal.errors import ConfigError, DataError
-from preictal.features import extract_features, fit_normalization, apply_normalization
+from preictal.features import (apply_normalization, extract_features, feature_shape,
+                               fit_normalization)
 from preictal.ingest import EcgRecord, SeizureAnnotation
 from preictal.models import (ARCHITECTURES, BaselineUnavailableError,
                              TrainPlan, build, dump_trained, instantiate,
                              load_trained, parameter_count, score,
                              select_baseline, sequence_layout, to_model_input,
                              train)
+from preictal.models.training import SCORE_BATCH, TrainedModel, row_blocks
 from preictal.preprocess import Phase, SegmentationConfig, label_phases, segment
 
 REPRESENTATIONS = ("dwt", "scalogram", "spectrogram")
@@ -145,7 +147,7 @@ class TestTraining:
         spec = build("t_ee", "spectrogram", 512)
         trained = train(spec, norm, stats, TrainPlan(epochs=3, batch_size=16, seed=5))
         blob, manifest = dump_trained(trained)
-        back = load_trained(blob, manifest, stats)
+        back = load_trained(blob, json.loads(manifest), stats)
         np.testing.assert_array_equal(score(trained, norm), score(back, norm))
 
 
@@ -185,7 +187,50 @@ class TestScore:
         meta = json.loads(manifest)
         meta["hyper"]["latent"] = 16
         with pytest.raises(DataError, match="hyper"):
-            load_trained(blob, json.dumps(meta), model.stats)
+            load_trained(blob, meta, model.stats)
+
+
+def _untrained(kind, representation, feats):
+    spec = build(kind, representation, 512)
+    return TrainedModel(spec, instantiate(spec, seed=0), fit_normalization(feats), TrainPlan())
+
+
+@pytest.fixture(scope="module")
+def dwt_rows(event_record):
+    from preictal.preprocess import lowpass
+
+    segs = segment(lowpass(event_record), SegmentationConfig(1, 0, 512))
+    feats = extract_features(segs.rows(0, 9 * SCORE_BATCH), "dwt")
+    return apply_normalization(feats, fit_normalization(feats))
+
+
+@pytest.mark.parametrize("kind", ARCHITECTURES)
+def test_segment_score_ignores_record_length(kind, dwt_rows):
+    # alone in a batch, a row's product can take another BLAS path and round
+    # differently; a one-row tail joins the batch before it so it never is
+    trained = _untrained(kind, "dwt", dwt_rows)
+    whole = score(trained, dwt_rows)
+    for n in range(SCORE_BATCH + 1, len(dwt_rows), SCORE_BATCH):
+        assert whole[:n].tobytes() == score(trained, dwt_rows[:n]).tobytes(), n
+
+
+@pytest.mark.parametrize("kind, representation", [
+    ("lstm_ae", "spectrogram"), ("mh_c_lstm_ae", "dwt"), ("t_ee", "scalogram")])
+def test_score_batch_size_changes_no_bit(kind, representation):
+    # rows of a product do not depend on how many rows share it (at a fixed
+    # BLAS thread count), as long as there are at least two
+    feats = np.random.default_rng(3).normal(size=(70, *feature_shape(representation, 512)))
+    trained = _untrained(kind, representation, feats)
+    assert (score(trained, feats, batch_size=32).tobytes()
+            == score(trained, feats, batch_size=256).tobytes())
+
+
+def test_row_blocks_fold_a_one_row_tail():
+    assert list(row_blocks(65, 32)) == [(0, 32), (32, 64), (64, 65)]
+    assert list(row_blocks(65, 32, min_rows=2)) == [(0, 32), (32, 65)]
+    assert list(row_blocks(64, 32, min_rows=2)) == [(0, 32), (32, 64)]
+    assert list(row_blocks(1, 32, min_rows=2)) == [(0, 1)]
+    assert list(row_blocks(0, 32)) == []
 
 
 def test_preictal_errors_exceed_interictal(event_record):

@@ -5,7 +5,7 @@ from preictal.errors import DataError
 from preictal.nn import (BatchNorm, Conv1d, Dense, Dropout, FeedForward,
                          LayerNorm, Lstm, MultiHeadAttention, Relu,
                          RepeatVector, Sequential, TakeLast,
-                         TransformerEncoderLayer, make_rng, mse_loss)
+                         TransformerEncoderLayer, make_rng, mse_loss, softmax)
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -107,10 +107,13 @@ def test_dropout_train_scaling_preserves_mean():
 
 
 def test_attention_rows_sum_to_one():
-    layer = MultiHeadAttention(8, make_rng(5), heads=4)
-    layer.forward(DATA.normal(size=(3, 6, 8)), training=False)
-    sums = layer.last_attention.sum(axis=-1)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+    scores = DATA.normal(scale=10.0, size=(3, 4, 6, 6))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    reference = e / e.sum(axis=-1, keepdims=True)   # the out-of-place formula
+    weights = softmax(scores)
+    assert weights is scores                        # computed in the input's buffer
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+    assert weights.tobytes() == reference.tobytes()
 
 
 def test_attention_dim_must_divide():
@@ -136,6 +139,35 @@ def test_backward_before_forward_rejected():
     layer = Lstm(3, 4, make_rng(9))
     with pytest.raises(DataError, match="before forward"):
         layer.backward(np.zeros((2, 5, 4)))
+
+
+# RepeatVector is left out: it keeps no state, its backward sums over the repeat axis
+STATEFUL_LAYERS = [
+    ("Dense", lambda rng: Dense(5, 7, rng), (4, 5)),
+    ("Relu", lambda rng: Relu(), (4, 5)),
+    ("Dropout", lambda rng: Dropout(0.2, rng), (4, 5)),
+    ("Conv1d", lambda rng: Conv1d(3, 5, rng, dilation=2), (2, 9, 3)),
+    ("Lstm", lambda rng: Lstm(4, 6, rng), (3, 3, 4)),
+    ("MultiHeadAttention", lambda rng: MultiHeadAttention(8, rng, heads=4), (2, 5, 8)),
+    ("BatchNorm", lambda rng: BatchNorm(6), (5, 4, 6)),
+    ("LayerNorm", lambda rng: LayerNorm(6), (5, 4, 6)),
+    ("FeedForward", lambda rng: FeedForward(6, rng), (3, 4, 6)),
+    ("TakeLast", lambda rng: TakeLast(), (2, 5, 3)),
+    ("TransformerEncoderLayer", lambda rng: TransformerEncoderLayer(8, rng), (2, 5, 8)),
+    ("Sequential", lambda rng: Sequential([Lstm(4, 6, rng), TakeLast(), RepeatVector(3)]),
+     (3, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("name,make,shape", STATEFUL_LAYERS, ids=[c[0] for c in STATEFUL_LAYERS])
+def test_backward_after_inference_forward_rejected(name, make, shape):
+    layer = make(make_rng(0))
+    x = DATA.normal(size=shape)
+    grad = np.ones_like(layer.forward(x, training=True))
+    layer.backward(grad)
+    layer.forward(x, training=False)   # keeps nothing, so the training cache is gone
+    with pytest.raises(DataError, match="before forward"):
+        layer.backward(grad)
 
 
 def test_batchnorm_running_stats_only_update_in_training():

@@ -12,6 +12,7 @@ from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
 from preictal.ingest import serialize_annotations, serialize_csv
 from preictal.nn import dump_arrays, load_arrays
+from preictal import pipeline
 from preictal.pipeline import STAGE_IO, STAGES, Pipeline, run
 
 CONFIG_TEMPLATE = """
@@ -206,6 +207,19 @@ def test_each_stage_runs_from_its_declared_inputs(completed_run, tmp_path):
             assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage, name)
 
 
+def test_feature_blocks_of_one_batch_change_no_byte(completed_run, tmp_path, monkeypatch):
+    out, cfg = completed_run
+    monkeypatch.setattr(pipeline, "FEATURE_BLOCK_BYTES", 1)   # each block one score batch
+    for stage in ("extract", "train", "score"):
+        alone = tmp_path / stage
+        alone.mkdir()
+        for name in STAGE_IO[stage].reads:
+            shutil.copy(out / name, alone / name)
+        Pipeline(replace(cfg, out=str(alone))).run(stage)
+        for name in STAGE_IO[stage].writes:
+            assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage, name)
+
+
 def _shift_test_indices(data: bytes) -> bytes:
     tag, arrays = load_arrays(data)
     return dump_arrays(arrays | {"test_indices": arrays["test_indices"] + 1e6}, tag)
@@ -234,6 +248,27 @@ def test_stage_alone_refuses_edited_input(completed_run, fixture_files, tmp_path
     assert repr(name) in err and f"re-run '{producer}'" in err
     assert main(["all", "--config", str(config)]) == 0
     assert (out / name).read_bytes() == original
+
+
+_JSON_READERS = (("record.json", "preprocess"), ("baseline.json", "score"),
+                 ("model.json", "score"), ("evaluation.json", "report"))
+
+
+@pytest.mark.parametrize("name, stage, text", [
+    *[(name, stage, text) for name, stage in _JSON_READERS for text in ('{"x": 1', "[1, 2]")],
+    ("baseline.json", "score", '{"n_train": 100000}'),
+])
+def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, tmp_path,
+                                                  capsys, name, stage, text):
+    root, record, annotations = fixture_files
+    out = tmp_path / "out"
+    shutil.copytree(completed_run[0], out)
+    (out / "manifest.json").unlink()   # no recorded digests: the reader is the only check
+    (out / name).write_text(text)
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out))
+    assert main([stage, "--config", str(config)]) == 3
+    assert repr(name) in capsys.readouterr().err
 
 
 class TestCli:
