@@ -6,9 +6,7 @@ record, one selected channel.  EDF+ discontinuities and TAL annotation
 channels are out of scope.  Field offsets follow the public EDF standard;
 see docs/formats.md for the byte layout.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,136 +16,103 @@ from .records import EcgRecord
 MAIN_HEADER_BYTES = 256
 SIGNAL_HEADER_BYTES = 256
 
-# (name, width) in file order
-_MAIN_FIELDS = [
-    ("version", 8),
-    ("patient_id", 80),
-    ("recording_id", 80),
-    ("start_date", 8),
-    ("start_time", 8),
-    ("header_bytes", 8),
-    ("reserved", 44),
-    ("n_records", 8),
-    ("record_duration_s", 8),
-    ("n_signals", 4),
-]
 
-# (name, width per signal) in file order
-_SIGNAL_FIELDS = [
-    ("label", 16),
-    ("transducer", 80),
-    ("physical_dim", 8),
-    ("physical_min", 8),
-    ("physical_max", 8),
-    ("digital_min", 8),
-    ("digital_max", 8),
-    ("prefiltering", 80),
-    ("samples_per_record", 8),
-    ("reserved", 32),
-]
+def _width(n: int):
+    """A header field of n ASCII bytes; its declared type parses and formats it."""
+    return field(metadata={"width": n})
 
 
+# The two header blocks, each field in file order with its byte width.
 @dataclass
 class EdfSignalHeader:
-    label: str
-    transducer: str
-    physical_dim: str
-    physical_min: float
-    physical_max: float
-    digital_min: int
-    digital_max: int
-    prefiltering: str
-    samples_per_record: int
+    label: str = _width(16)
+    transducer: str = _width(80)
+    physical_dim: str = _width(8)
+    physical_min: float = _width(8)
+    physical_max: float = _width(8)
+    digital_min: int = _width(8)
+    digital_max: int = _width(8)
+    prefiltering: str = _width(80)
+    samples_per_record: int = _width(8)
+    reserved: str = _width(32)
 
 
 @dataclass
 class EdfHeader:
-    version: str
-    patient_id: str
-    recording_id: str
-    start_date: str
-    start_time: str
-    header_bytes: int
-    n_records: int
-    record_duration_s: float
-    signals: list[EdfSignalHeader]
+    version: str = _width(8)
+    patient_id: str = _width(80)
+    recording_id: str = _width(80)
+    start_date: str = _width(8)
+    start_time: str = _width(8)
+    header_bytes: int = _width(8)
+    reserved: str = _width(44)
+    n_records: int = _width(8)
+    record_duration_s: float = _width(8)
+    n_signals: int = _width(4)
+    signals: list[EdfSignalHeader] = field(default_factory=list)
 
 
-def _ascii_field(raw: bytes, name: str) -> str:
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"EDF header field '{name}' is not ASCII") from exc
-    return text.strip()
+def _layout(cls) -> list:
+    return [f for f in fields(cls) if "width" in f.metadata]
 
 
-def _int_field(raw: bytes, name: str) -> int:
-    text = _ascii_field(raw, name)
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise DataError(f"EDF header field '{name}' is not an integer: {text!r}") from exc
+def _unpack(cls, data: bytes, pos: int, count: int) -> list:
+    """`count` headers of `cls` stored from `pos` as EDF does: one field for
+    all `count` headers, then the next field."""
+    headers = [{} for _ in range(count)]
+    for f in _layout(cls):
+        width = f.metadata["width"]
+        for i, header in enumerate(headers):
+            raw = data[pos + i * width:pos + (i + 1) * width]
+            try:
+                text = raw.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"EDF header field '{f.name}' is not ASCII") from exc
+            try:
+                header[f.name] = f.type(text)
+            except ValueError as exc:
+                raise DataError(f"EDF header field '{f.name}' is not "
+                                f"{'an integer' if f.type is int else 'a number'}: "
+                                f"{text!r}") from exc
+        pos += count * width
+    return [cls(**header) for header in headers]
 
 
-def _float_field(raw: bytes, name: str) -> float:
-    text = _ascii_field(raw, name)
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise DataError(f"EDF header field '{name}' is not a number: {text!r}") from exc
+def _pack(headers: list) -> bytes:
+    """The inverse of _unpack: the headers' fields, one field at a time."""
+    out = []
+    for f in _layout(type(headers[0])):
+        width = f.metadata["width"]
+        for header in headers:
+            value = getattr(header, f.name)
+            text = _format_number(value, width, f.name) if f.type is float else str(value)
+            if not text.isascii() or len(text) > width:
+                raise DataError(f"EDF field '{f.name}' value {text!r} is not ASCII "
+                                f"of at most {width} bytes")
+            out.append(text.encode("ascii").ljust(width))
+    return b"".join(out)
 
 
 def parse_edf_header(data: bytes) -> EdfHeader:
     """Parse the 256-byte main header and the per-signal header block."""
     if len(data) < MAIN_HEADER_BYTES:
         raise DataError(f"EDF file too short for main header ({len(data)} < {MAIN_HEADER_BYTES} bytes)")
-    raw: dict[str, bytes] = {}
-    pos = 0
-    for name, width in _MAIN_FIELDS:
-        raw[name] = data[pos:pos + width]
-        pos += width
-
-    n_signals = _int_field(raw["n_signals"], "n_signals")
+    header = _unpack(EdfHeader, data, 0, 1)[0]
+    n_signals = header.n_signals
     if n_signals <= 0:
         raise DataError(f"EDF must declare at least one signal, got {n_signals}")
-    header_bytes = _int_field(raw["header_bytes"], "header_bytes")
     expected = MAIN_HEADER_BYTES + n_signals * SIGNAL_HEADER_BYTES
-    if header_bytes != expected:
-        raise DataError(f"EDF header_bytes field is {header_bytes}, expected {expected} for {n_signals} signal(s)")
+    if header.header_bytes != expected:
+        raise DataError(f"EDF header_bytes field is {header.header_bytes}, expected {expected} "
+                        f"for {n_signals} signal(s)")
     if len(data) < expected:
         raise DataError("EDF file truncated inside signal headers")
-
-    # each signal-header field is stored for all signals consecutively
-    per_signal: dict[str, list[bytes]] = {}
-    for name, width in _SIGNAL_FIELDS:
-        per_signal[name] = [data[pos + i * width:pos + (i + 1) * width] for i in range(n_signals)]
-        pos += n_signals * width
-
-    signals = []
-    for i in range(n_signals):
-        signals.append(EdfSignalHeader(
-            label=_ascii_field(per_signal["label"][i], "label"),
-            transducer=_ascii_field(per_signal["transducer"][i], "transducer"),
-            physical_dim=_ascii_field(per_signal["physical_dim"][i], "physical_dim"),
-            physical_min=_float_field(per_signal["physical_min"][i], "physical_min"),
-            physical_max=_float_field(per_signal["physical_max"][i], "physical_max"),
-            digital_min=_int_field(per_signal["digital_min"][i], "digital_min"),
-            digital_max=_int_field(per_signal["digital_max"][i], "digital_max"),
-            prefiltering=_ascii_field(per_signal["prefiltering"][i], "prefiltering"),
-            samples_per_record=_int_field(per_signal["samples_per_record"][i], "samples_per_record"),
-        ))
-
-    return EdfHeader(
-        version=_ascii_field(raw["version"], "version"),
-        patient_id=_ascii_field(raw["patient_id"], "patient_id"),
-        recording_id=_ascii_field(raw["recording_id"], "recording_id"),
-        start_date=_ascii_field(raw["start_date"], "start_date"),
-        start_time=_ascii_field(raw["start_time"], "start_time"),
-        header_bytes=header_bytes,
-        n_records=_int_field(raw["n_records"], "n_records"),
-        record_duration_s=_float_field(raw["record_duration_s"], "record_duration_s"),
-        signals=signals,
-    )
+    header.signals = _unpack(EdfSignalHeader, data, MAIN_HEADER_BYTES, n_signals)
+    counts = [s.samples_per_record for s in header.signals]
+    if min(counts) < 0:
+        raise DataError(f"EDF signal {counts.index(min(counts))} declares a negative "
+                        f"samples_per_record ({min(counts)})")
+    return header
 
 
 def parse_edf(data: bytes, channel_name: str) -> EcgRecord:
@@ -179,35 +144,27 @@ def parse_edf(data: bytes, channel_name: str) -> EcgRecord:
             f"channel {channel_name!r}: samples_per_record/duration = {fs} is not an integer rate"
         )
 
-    record_samples = [s.samples_per_record for s in header.signals]
-    record_bytes = 2 * sum(record_samples)
-    offset_in_record = 2 * sum(record_samples[:ch])
-    body = data[header.header_bytes:]
-
-    chunks = []
-    for rec in range(header.n_records):
-        start = rec * record_bytes
-        if len(body) < start + record_bytes:
-            raise DataError(f"EDF data record {rec} truncated ({len(body) - start} of {record_bytes} bytes)")
-        chunk = body[start + offset_in_record:start + offset_in_record + 2 * sig.samples_per_record]
-        chunks.append(np.frombuffer(chunk, dtype="<i2"))
-    digital = np.concatenate(chunks).astype(np.float64) if chunks else np.empty(0)
-
-    scale = (sig.physical_max - sig.physical_min) / (sig.digital_max - sig.digital_min)
-    physical = sig.physical_min + (digital - sig.digital_min) * scale
+    counts = [s.samples_per_record for s in header.signals]
+    per_record, first = sum(counts), sum(counts[:ch])
+    record_bytes = 2 * per_record
+    body_bytes = len(data) - header.header_bytes
+    if body_bytes < header.n_records * record_bytes:
+        short = body_bytes // record_bytes
+        raise DataError(f"EDF data record {short} truncated "
+                        f"({body_bytes - short * record_bytes} of {record_bytes} bytes)")
+    # one view of the data records; only the channel's columns are copied
+    records = np.frombuffer(data, dtype="<i2", count=header.n_records * per_record,
+                            offset=header.header_bytes).reshape(header.n_records, per_record)
+    physical = records[:, first:first + sig.samples_per_record].astype(np.float64).ravel()
+    physical -= sig.digital_min
+    physical *= (sig.physical_max - sig.physical_min) / (sig.digital_max - sig.digital_min)
+    physical += sig.physical_min
 
     return EcgRecord(
         patient_id=header.patient_id or "unknown",
         sampling_rate_hz=int(round(fs)),
         samples=physical,
     )
-
-
-def _pack(text: str, width: int, name: str) -> bytes:
-    raw = text.encode("ascii")
-    if len(raw) > width:
-        raise DataError(f"EDF field '{name}' value {text!r} exceeds {width} bytes")
-    return raw.ljust(width)
 
 
 def _format_number(value: float, width: int, name: str) -> str:
@@ -251,26 +208,14 @@ def write_edf(record: EcgRecord, *, channel_label: str = "ECG", physical_dim: st
     digital = np.round((clipped - physical_min) / scale).astype(np.int64) + digital_min
     digital = np.clip(digital, digital_min, digital_max).astype("<i2")
 
-    head = b"".join([
-        _pack("0", 8, "version"),
-        _pack(record.patient_id, 80, "patient_id"),
-        _pack(recording_id, 80, "recording_id"),
-        _pack(start_date, 8, "start_date"),
-        _pack(start_time, 8, "start_time"),
-        _pack(str(MAIN_HEADER_BYTES + SIGNAL_HEADER_BYTES), 8, "header_bytes"),
-        _pack("", 44, "reserved"),
-        _pack(str(n_full), 8, "n_records"),
-        _pack(_format_number(record_duration_s, 8, "record_duration_s"), 8, "record_duration_s"),
-        _pack("1", 4, "n_signals"),
-        _pack(channel_label, 16, "label"),
-        _pack("", 80, "transducer"),
-        _pack(physical_dim, 8, "physical_dim"),
-        _pack(_format_number(physical_min, 8, "physical_min"), 8, "physical_min"),
-        _pack(_format_number(physical_max, 8, "physical_max"), 8, "physical_max"),
-        _pack(str(digital_min), 8, "digital_min"),
-        _pack(str(digital_max), 8, "digital_max"),
-        _pack("", 80, "prefiltering"),
-        _pack(str(spr), 8, "samples_per_record"),
-        _pack("", 32, "reserved"),
-    ])
-    return head + digital.tobytes()
+    signal = EdfSignalHeader(
+        label=channel_label, transducer="", physical_dim=physical_dim,
+        physical_min=physical_min, physical_max=physical_max,
+        digital_min=digital_min, digital_max=digital_max, prefiltering="",
+        samples_per_record=spr, reserved="")
+    header = EdfHeader(
+        version="0", patient_id=record.patient_id, recording_id=recording_id,
+        start_date=start_date, start_time=start_time,
+        header_bytes=MAIN_HEADER_BYTES + SIGNAL_HEADER_BYTES, reserved="",
+        n_records=n_full, record_duration_s=record_duration_s, n_signals=1, signals=[signal])
+    return _pack([header]) + _pack(header.signals) + digital.tobytes()

@@ -166,6 +166,9 @@ def score(trained: TrainedModel, features_normalized: np.ndarray,
 
 
 MODEL_FORMAT_VERSION = 1
+# the model.json keys load_trained indexes
+MODEL_KEYS = ("architecture", "representation", "steps", "features", "seed", "epochs",
+              "batch_size", "patience", "min_delta", "normalization_digest", "loss_history")
 
 
 def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:

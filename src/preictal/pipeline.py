@@ -36,7 +36,7 @@ from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
-from .models.training import SCORE_BATCH, row_blocks, score
+from .models.training import MODEL_KEYS, SCORE_BATCH, row_blocks, score
 from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
@@ -210,8 +210,8 @@ class Pipeline:
 
     # ---- artifact readers: one per artifact -------------------------------
 
-    def _json(self, name: str) -> dict:
-        """A JSON artifact's top-level object."""
+    def _json(self, name: str, *keys: str) -> dict:
+        """A JSON artifact's top-level object, which must hold `keys`."""
         try:
             value = json.loads(self._require(name).read_bytes())
         except ValueError as exc:   # not UTF-8, or not JSON
@@ -220,10 +220,14 @@ class Pipeline:
         if not isinstance(value, dict):
             raise DataError(f"artifact {name!r} holds a JSON {type(value).__name__}, not an "
                             f"object; re-run '{_PRODUCER[name]}'")
+        missing = [key for key in keys if key not in value]
+        if missing:
+            raise DataError(f"artifact {name!r} lacks {', '.join(missing)}; "
+                            f"re-run '{_PRODUCER[name]}'")
         return value
 
     def _record_meta(self) -> dict:
-        return self._json("record.json")
+        return self._json("record.json", "patient_id", "sampling_rate_hz", "duration_s")
 
     def _annotations(self) -> list[SeizureAnnotation]:
         return load_annotations(self._require("annotations.csv").read_text())
@@ -337,7 +341,7 @@ class Pipeline:
             # as train fitted them
             stats = fit_normalization(self._feature_rows(f, layout, 0, n_train))
             trained = load_trained(self._require("model.params").read_bytes(),
-                                   self._json("model.json"), stats)
+                                   self._json("model.json", *MODEL_KEYS), stats)
             # a one-row last block would be a one-row score batch: it joins the block before
             all_errors = np.concatenate([
                 score(trained, apply_normalization(self._feature_rows(f, layout, lo, hi), stats))
@@ -402,7 +406,8 @@ class Pipeline:
 
     def stage_report(self):
         segments, anns = self._segments(), self._annotations()
-        evaluation = self._json("evaluation.json")
+        evaluation = self._json("evaluation.json", "patient_id", "metrics", "confusion",
+                                "counting_note", "threshold", "eval_config")
         _, test_idx, test_err = self._load_scores()
         patient_id = evaluation["patient_id"]
 

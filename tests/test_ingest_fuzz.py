@@ -9,6 +9,7 @@ from preictal.errors import DataError, NumericError
 from preictal.ingest import (EcgRecord, SeizureAnnotation, load_annotations,
                              parse_csv, parse_edf, serialize_annotations,
                              serialize_csv, write_edf)
+from test_ingest_edf_layout import THREE_SIGNALS
 
 _RECORD = EcgRecord(patient_id="p", sampling_rate_hz=8,
                     samples=np.sin(np.arange(24.0)))
@@ -18,15 +19,17 @@ def _parse_edf(data: bytes):
     return parse_edf(data, "ECG")
 
 
-# one valid input per parser; the fuzz tests below replace, cut and flip it
-VALID = {
-    parse_csv: serialize_csv(_RECORD).encode(),
-    load_annotations: serialize_annotations([SeizureAnnotation(1.0, 2.5),
-                                             SeizureAnnotation(4.0, 9.0)]).encode(),
-    _parse_edf: write_edf(_RECORD),
-}
+_EDF = write_edf(_RECORD)
+# valid (parser, input) pairs; the fuzz tests below replace, cut and flip the input
+VALID = [
+    (parse_csv, serialize_csv(_RECORD).encode()),
+    (load_annotations, serialize_annotations([SeizureAnnotation(1.0, 2.5),
+                                              SeizureAnnotation(4.0, 9.0)]).encode()),
+    (_parse_edf, _EDF),
+    (_parse_edf, THREE_SIGNALS),   # "ECG" is the middle of 3 signals of 4, 2 and 3 samples
+]
 TEXT_PARSERS = st.sampled_from([parse_csv, load_annotations])
-PARSERS = st.sampled_from(list(VALID))
+BASES = st.sampled_from(VALID)
 CSV_TEXT = st.text(alphabet="0123456789.,-+eEinfatINFA \"\n\r", max_size=200)
 
 
@@ -52,16 +55,17 @@ def test_arbitrary_edf_bytes(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(PARSERS, st.data())
-def test_truncated_input(parse, data):
-    blob = VALID[parse]
+@given(BASES, st.data())
+def test_truncated_input(base, data):
+    parse, blob = base
     _only_typed_errors(parse, blob[:data.draw(st.integers(0, len(blob)))])
 
 
 @settings(max_examples=500, deadline=None)
-@given(PARSERS, st.data())
-def test_byte_flipped_input(parse, data):
-    blob = bytearray(VALID[parse])
+@given(BASES, st.data())
+def test_byte_flipped_input(base, data):
+    parse, blob = base
+    blob = bytearray(blob)
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(blob) - 1))
         blob[i] ^= data.draw(st.integers(1, 255))
@@ -81,6 +85,5 @@ def test_malformed_text_is_data_error(parse, text):
 
 @pytest.mark.parametrize("duration", [b"1e-320  ", b"nan     ", b"1e-300  "])
 def test_edf_record_duration_out_of_range(duration):
-    blob = VALID[_parse_edf]
     with pytest.raises(DataError):   # record duration field: bytes 244..251
-        _parse_edf(blob[:244] + duration + blob[252:])
+        _parse_edf(_EDF[:244] + duration + _EDF[252:])

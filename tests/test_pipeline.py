@@ -257,6 +257,9 @@ _JSON_READERS = (("record.json", "preprocess"), ("baseline.json", "score"),
 @pytest.mark.parametrize("name, stage, text", [
     *[(name, stage, text) for name, stage in _JSON_READERS for text in ('{"x": 1', "[1, 2]")],
     ("baseline.json", "score", '{"n_train": 100000}'),
+    ("model.json", "score", '{"format_version": 1}'),   # valid objects that lack keys
+    ("record.json", "preprocess", "{}"),
+    ("evaluation.json", "report", '{"patient_id": "x"}'),
 ])
 def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, tmp_path,
                                                   capsys, name, stage, text):

@@ -1,0 +1,66 @@
+"""Print the sha256 of every artifact of cold `preictal all` runs, as sorted JSON.
+
+Runs all nine architecture x representation pairs (2 epochs) on a fixed 300 s
+synthetic record with one seizure, once as CSV and once as EDF written by
+`write_edf`, each in a fresh output directory.  The output maps
+`<run>/<file>` to the file's sha256; `manifest.json` is skipped, since it
+holds wall times.
+
+It uses only the CLI and `preictal.ingest`, so the same file runs in an older
+checkout.  A refactor that must keep every artifact byte-identical compares
+the two outputs:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/artifact_digests.py > after.json
+    # the same command in the parent's checkout, > before.json
+    diff before.json after.json
+
+The 18 runs take about 30 s with one BLAS thread.
+"""
+import hashlib
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from preictal.cli import main
+from preictal.ingest import (SyntheticEvent, SyntheticSpec, generate_synthetic,
+                             serialize_annotations, serialize_csv, write_edf)
+
+ARCHITECTURES = ("lstm_ae", "mh_c_lstm_ae", "t_ee")
+REPRESENTATIONS = ("dwt", "scalogram", "spectrogram")
+CONFIG = ("record = {record}\nannotations = {annotations}\nout = {out}\n"
+          "architecture = {architecture}\nrepresentation = {representation}\n"
+          "epochs = 2\npreictal_len_s = 120\nmin_baseline_segments = 20\n")
+
+
+def write_inputs(root: Path) -> dict[str, Path]:
+    """The record as CSV and as EDF, and its annotations; {format: record path}."""
+    record = generate_synthetic(SyntheticSpec(
+        duration_s=300.0, base_hr_bpm=80.0, noise_std=0.02, hrv_bpm=4.0,
+        events=(SyntheticEvent(onset_s=220.0, preictal_lead_s=120.0, hr_ramp_bpm=30.0,
+                               jitter_std=0.3),), rng_seed=11))
+    (root / "annotations.csv").write_text(serialize_annotations(record.annotations))
+    (root / "record.csv").write_text(serialize_csv(record))
+    (root / "record.edf").write_bytes(write_edf(record))
+    return {"csv": root / "record.csv", "edf": root / "record.edf"}
+
+
+def digests(root: Path) -> dict[str, str]:
+    records, result = write_inputs(root), {}
+    for fmt, arch, rep in itertools.product(records, ARCHITECTURES, REPRESENTATIONS):
+        run = f"{fmt}_{arch}_{rep}"
+        config = root / f"{run}.cfg"
+        config.write_text(CONFIG.format(record=records[fmt], annotations=root / "annotations.csv",
+                                        out=root / run, architecture=arch, representation=rep))
+        if main(["all", "--config", str(config)]) != 0:
+            sys.exit(f"run {run} failed")
+        for path in sorted((root / run).iterdir()):
+            if path.name != "manifest.json":
+                result[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return result
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(digests(Path(tmp)), indent=1, sort_keys=True))
