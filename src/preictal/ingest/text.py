@@ -26,18 +26,42 @@ def _rows(text: str, expected_header: tuple[str, ...]) -> list[list[str]]:
     return rows
 
 
-def parse_csv(text: str, patient_id: str = "unknown") -> EcgRecord:
-    """Parse a two-column `time_s,mv` CSV with uniform sampling.
+def _first_data_line(data: bytes) -> int | None:
+    """The index of the first line that holds samples, or None if none does.
+
+    Blank lines are skipped, and so is a `time_s,mv` header on the first
+    non-blank line: its cells compare stripped, lower-cased and unquoted.
+    """
+    header_seen = False
+    for n, line in enumerate(io.BytesIO(data)):
+        if not line.rstrip(b"\r\n"):
+            continue
+        if header_seen or tuple(c.replace('"', "").strip().lower()
+                                for c in line.decode().split(",")) != RECORD_HEADER:
+            return n
+        header_seen = True
+    return None
+
+
+def parse_csv(data: bytes | str, patient_id: str = "unknown") -> EcgRecord:
+    """Parse a UTF-8 `time_s,mv` CSV with uniform sampling.
 
     The rate is inferred as round(1/median_step); rows whose step deviates
     more than 1% from the median are rejected as non-uniform.
     """
-    rows = _rows(text, RECORD_HEADER)
-    if not rows:
-        raise DataError("empty record CSV")
+    if isinstance(data, str):   # a lone surrogate becomes bytes that fail to decode below
+        data = data.encode(errors="surrogatepass")
     try:
-        values = np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
-    except (ValueError, IndexError) as exc:
+        start = _first_data_line(data)
+        if start is None:
+            raise DataError("empty record CSV")
+        values = np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",", comments=None,
+                            quotechar='"', usecols=(0, 1), skiprows=start, ndmin=2,
+                            encoding="utf-8")
+    except UnicodeDecodeError as exc:   # exc.object is the line that failed
+        line = data.count(b"\n", 0, data.find(exc.object)) + 1
+        raise DataError(f"record file is not UTF-8 at line {line}: {exc}") from exc
+    except ValueError as exc:   # names the row and the column
         raise DataError(f"record CSV has a malformed row: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if len(bad):

@@ -96,6 +96,15 @@ def _decode(data: bytes, what: str) -> str:
         raise DataError(f"{what} file is not UTF-8: {exc}") from exc
 
 
+def _lacks(value, key: str) -> bool:
+    """Whether a JSON value lacks `key`; `a.b` names key `b` of the object at key `a`."""
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return True
+        value = value[part]
+    return False
+
+
 def _file_sha256(path: Path) -> str | None:
     if not path.exists():
         return None
@@ -211,7 +220,7 @@ class Pipeline:
     # ---- artifact readers: one per artifact -------------------------------
 
     def _json(self, name: str, *keys: str) -> dict:
-        """A JSON artifact's top-level object, which must hold `keys`."""
+        """A JSON artifact's top-level object, which must hold `keys` (see `_lacks`)."""
         try:
             value = json.loads(self._require(name).read_bytes())
         except ValueError as exc:   # not UTF-8, or not JSON
@@ -220,7 +229,7 @@ class Pipeline:
         if not isinstance(value, dict):
             raise DataError(f"artifact {name!r} holds a JSON {type(value).__name__}, not an "
                             f"object; re-run '{_PRODUCER[name]}'")
-        missing = [key for key in keys if key not in value]
+        missing = [key for key in keys if _lacks(value, key)]
         if missing:
             raise DataError(f"artifact {name!r} lacks {', '.join(missing)}; "
                             f"re-run '{_PRODUCER[name]}'")
@@ -273,9 +282,8 @@ class Pipeline:
         inputs, self._inputs = self._inputs or self._read_inputs(), []
         if Path(self.cfg.record).suffix.lower() == ".edf":
             record = parse_edf(inputs.pop(0), self.cfg.channel)
-        else:   # decoding drops the bytes before parsing starts
-            record = parse_csv(_decode(inputs.pop(0), "record"),
-                               patient_id=self.cfg.patient_id or "unknown")
+        else:
+            record = parse_csv(inputs.pop(0), patient_id=self.cfg.patient_id or "unknown")
         annotations = load_annotations(_decode(inputs.pop(), "annotations")) if inputs else []
         record = replace(record, patient_id=self.cfg.patient_id or record.patient_id,
                          annotations=annotations)
@@ -407,7 +415,8 @@ class Pipeline:
     def stage_report(self):
         segments, anns = self._segments(), self._annotations()
         evaluation = self._json("evaluation.json", "patient_id", "metrics", "confusion",
-                                "counting_note", "threshold", "eval_config")
+                                "counting_note", "threshold.mu", "threshold.sigma",
+                                "threshold.k", "eval_config.preictal_len_s")
         _, test_idx, test_err = self._load_scores()
         patient_id = evaluation["patient_id"]
 

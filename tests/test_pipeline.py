@@ -260,6 +260,12 @@ _JSON_READERS = (("record.json", "preprocess"), ("baseline.json", "score"),
     ("model.json", "score", '{"format_version": 1}'),   # valid objects that lack keys
     ("record.json", "preprocess", "{}"),
     ("evaluation.json", "report", '{"patient_id": "x"}'),
+    *[("evaluation.json", "report",   # nested objects that lack keys report indexes
+       '{"patient_id": "x", "metrics": {}, "confusion": {}, "counting_note": "", '
+       f'"threshold": {threshold}, "eval_config": {eval_config}}}')
+      for threshold, eval_config in [("{}", '{"preictal_len_s": 60}'),
+                                     ('{"mu": 0, "sigma": 1, "k": 3}', "{}"),
+                                     ("[]", "null")]],
 ])
 def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, tmp_path,
                                                   capsys, name, stage, text):
