@@ -40,15 +40,28 @@ _TRANSFORMS = {"dwt": dwt_decompose, "scalogram": cwt_scalogram,
 # buffers in proportion to the record's length (24 h of 1 s windows: about
 # 3.5 GB per scalogram scale); a block keeps the temporaries at a few MB.
 BLOCK_ROWS = 64
+# The DWT's level-1 gather is a float64 (rows * window/2, taps) matrix; past
+# about 1 MiB a block runs slower per segment than a smaller one, so long
+# windows take fewer rows per call (64 at 512 samples, 6 at 5,120).
+DWT_GATHER_BYTES = 1 << 20
+
+
+def _rows_per_call(representation: str, window_samples: int) -> int:
+    if representation != "dwt":
+        return BLOCK_ROWS
+    gather_row_bytes = window_samples // 2 * len(sym4_bank().h) * 8
+    return max(1, min(BLOCK_ROWS, DWT_GATHER_BYTES // gather_row_bytes))
 
 
 def extract_features(segments: SegmentSet, representation: str) -> np.ndarray:
     """Stack one feature tensor per segment along axis 0 (raw, un-normalized)."""
-    shape = feature_shape(representation, segments.config.window_samples)
+    window = segments.config.window_samples
+    shape = feature_shape(representation, window)
     transform = _TRANSFORMS[representation]
+    rows = _rows_per_call(representation, window)
     out = np.empty((len(segments), *shape))
-    for start in range(0, len(segments), BLOCK_ROWS):
-        out[start:start + BLOCK_ROWS] = transform(segments.samples[start:start + BLOCK_ROWS])
+    for start in range(0, len(segments), rows):
+        out[start:start + rows] = transform(segments.samples[start:start + rows])
     return out
 
 

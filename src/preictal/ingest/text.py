@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import warnings
 
 import numpy as np
 
@@ -43,11 +45,45 @@ def _first_data_line(data: bytes) -> int | None:
     return None
 
 
+def _load_rows(data: bytes, skiprows: int = 0) -> np.ndarray:
+    return np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",", comments=None,
+                      quotechar='"', usecols=(0, 1), skiprows=skiprows, ndmin=2,
+                      encoding="utf-8")
+
+
+def _rejected_line(data: bytes, start: int) -> tuple[int, bytes]:
+    """The 1-based number and the bytes of the first line from index start
+    that the reader rejects.  It halves the line range with the same reader
+    call, so only the error path pays for it."""
+    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    edges = np.concatenate(([0], newlines + 1, [len(data)]))   # line i: edges[i]:edges[i + 1]
+    lo, hi = start, len(edges) - 1   # the rejected line is one of lo..hi-1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            with warnings.catch_warnings():   # a run of empty lines holds no data
+                warnings.simplefilter("ignore")
+                _load_rows(data[edges[lo]:edges[mid]])
+            lo = mid
+        except (ValueError, UnicodeDecodeError):
+            hi = mid
+    return lo + 1, data[edges[lo]:edges[lo + 1]]
+
+
+def _row_line(data: bytes, start: int, row: int) -> int:
+    """The 1-based file line of data row `row` (from 0) of a record read from
+    line index start: the reader skips empty lines."""
+    lines = (n for n, line in enumerate(io.BytesIO(data))
+             if n >= start and line.rstrip(b"\r\n"))
+    return next(itertools.islice(lines, row, None)) + 1
+
+
 def parse_csv(data: bytes | str, patient_id: str = "unknown") -> EcgRecord:
     """Parse a UTF-8 `time_s,mv` CSV with uniform sampling.
 
     The rate is inferred as round(1/median_step); rows whose step deviates
-    more than 1% from the median are rejected as non-uniform.
+    more than 1% from the median are rejected as non-uniform.  An error that
+    points at a row names its 1-based line in the file.
     """
     if isinstance(data, str):   # a lone surrogate becomes bytes that fail to decode below
         data = data.encode(errors="surrogatepass")
@@ -55,17 +91,18 @@ def parse_csv(data: bytes | str, patient_id: str = "unknown") -> EcgRecord:
         start = _first_data_line(data)
         if start is None:
             raise DataError("empty record CSV")
-        values = np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",", comments=None,
-                            quotechar='"', usecols=(0, 1), skiprows=start, ndmin=2,
-                            encoding="utf-8")
+        values = _load_rows(data, skiprows=start)
     except UnicodeDecodeError as exc:   # exc.object is the line that failed
         line = data.count(b"\n", 0, data.find(exc.object)) + 1
         raise DataError(f"record file is not UTF-8 at line {line}: {exc}") from exc
-    except ValueError as exc:   # names the row and the column
-        raise DataError(f"record CSV has a malformed row: {exc}") from exc
+    except ValueError as exc:
+        line, text = _rejected_line(data, start)
+        text = text.rstrip(b"\r\n")[:80]
+        raise DataError(f"record CSV has a malformed row at line {line}: {text!r}") from exc
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if len(bad):
-        raise DataError(f"record CSV row {bad[0] + 1} holds a non-finite value")
+        raise DataError(f"record CSV line {_row_line(data, start, bad[0])} "
+                        f"holds a non-finite value")
     t, mv = values[:, 0], values[:, 1]
     if len(t) < 2:
         raise DataError("record CSV needs at least two rows to infer a sampling rate")
@@ -76,7 +113,8 @@ def parse_csv(data: bytes | str, patient_id: str = "unknown") -> EcgRecord:
     if np.any(np.abs(dt - step) > MAX_DT_DEVIATION * step):
         worst = int(np.argmax(np.abs(dt - step)))
         raise DataError(
-            f"non-uniform sampling: step {dt[worst]:.6g}s at row {worst + 1} "
+            f"non-uniform sampling: step {dt[worst]:.6g}s to line "
+            f"{_row_line(data, start, worst + 1)} "
             f"deviates >1% from median {step:.6g}s"
         )
     rate = 1.0 / step

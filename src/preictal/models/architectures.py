@@ -89,8 +89,12 @@ def spec_for_layout(kind: str, representation: str, steps: int,
 
 
 def instantiate(spec: ArchitectureSpec, seed: int) -> Sequential:
-    """Create the layer stack with seeded initialization."""
-    rng = make_rng(seed)
+    """Create the layer stack with seeded initialization, in float32: the
+    weights are drawn in float64 and rounded once."""
+    return _layers(spec, make_rng(seed)).astype(np.float32)
+
+
+def _layers(spec: ArchitectureSpec, rng: np.random.Generator) -> Sequential:
     h = DEFAULT_HYPER
     steps, feats = spec.steps, spec.features
     drop = h["dropout"]

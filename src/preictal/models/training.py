@@ -2,7 +2,8 @@
 
 Models are trained exclusively on normalized baseline (inter-ictal) feature
 tensors; the anomaly score of any segment is the MSE between its features
-and the model's reconstruction.
+and the model's reconstruction.  Both run in float32; scores come back as
+float64 holding the float32 values exactly.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ class TrainedModel:
 
 
 def _model_input(spec: ArchitectureSpec, features: np.ndarray) -> np.ndarray:
-    inputs = to_model_input(np.asarray(features, dtype=np.float64), spec.representation)
+    inputs = to_model_input(np.asarray(features, dtype=np.float32), spec.representation)
     if inputs.shape[1:] != (spec.steps, spec.features):
         raise DataError(f"feature layout {inputs.shape[1:]} does not match the model's "
                         f"({spec.steps}, {spec.features})")
@@ -162,7 +163,8 @@ def score(trained: TrainedModel, features_normalized: np.ndarray,
     inputs = _model_input(trained.spec, features_normalized)
     sums = [np.sum(sq, axis=(1, 2))
             for sq in _squared_errors(trained.model, inputs, batch_size, min_rows=2)]
-    return np.concatenate(sums or [np.empty(0)]) / (trained.spec.steps * trained.spec.features)
+    count = trained.spec.steps * trained.spec.features
+    return (np.concatenate(sums or [np.empty(0, np.float32)]) / count).astype(np.float64)
 
 
 MODEL_FORMAT_VERSION = 1

@@ -1,4 +1,8 @@
-"""Minimal float64 neural-network kernel with reverse-mode gradients.
+"""Minimal neural-network kernel with reverse-mode gradients.
+
+The dtype follows the input: every layer computes in its input's dtype.
+Models run in float32 (`Layer.astype`); the gradient checks run the same
+layers in float64.
 
 Deterministic by construction: parameter init and dropout masks come from
 seeded PCG64 generators (numpy default_rng), so a fixed seed reproduces

@@ -1,12 +1,14 @@
 """Dense-tensor layers with hand-written reverse-mode gradients.
 
-Everything is float64 and batch-first: sequence tensors are
-(batch, steps, features).  Each layer caches what its backward pass needs
-during a training-mode forward only; an inference forward keeps nothing, so
-a backward after it raises instead of reusing an older batch's cache.
-Backward returns the input gradient and accumulates parameter gradients in
-.grads.  Gradients are validated against central finite differences in the
-test suite.
+The dtype follows the input: a layer computes in its input's dtype and
+allocates its buffers in it.  Models run in float32 (`Layer.astype`); the
+gradient checks run the same code in float64.  Tensors are batch-first:
+sequence tensors are (batch, steps, features).  Each layer caches what its
+backward pass needs during a training-mode forward only; an inference
+forward keeps nothing, so a backward after it raises instead of reusing an
+older batch's cache.  Backward returns the input gradient and accumulates
+parameter gradients in .grads.  Gradients are validated against central
+finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -65,6 +67,16 @@ class Layer:
             yield prefix + k, self.buffers[k]
         for child_name, child in self.children:
             yield from child.named_arrays(f"{prefix}{child_name}.")
+
+    def astype(self, dtype) -> "Layer":
+        """Cast every parameter, gradient and buffer, depth-first, in place;
+        returns self."""
+        for arrays in (self.params, self.grads, self.buffers):
+            for k in arrays:
+                arrays[k] = arrays[k].astype(dtype)
+        for _, child in self.children:
+            child.astype(dtype)
+        return self
 
     def zero_grads(self):
         for k in self.grads:
@@ -150,7 +162,8 @@ class Dropout(Layer):
     def forward(self, x, training=False):
         mask = None
         if training and self.p > 0:
-            mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
+            # drawn in float64 in any dtype, so a seed gives the same mask
+            mask = ((self.rng.random(x.shape) >= self.p) / (1.0 - self.p)).astype(x.dtype)
         self._keep(training, mask)
         return x if mask is None else x * mask
 
@@ -192,7 +205,7 @@ class Conv1d(Layer):
         win2 = windows.reshape(-1, self.kernel * self.in_ch)
         self.grads["w"] += (win2.T @ g2).reshape(self.kernel, self.in_ch, self.out_ch)
         self.grads["b"] += g2.sum(axis=0)
-        dxp = np.zeros(xp_shape)
+        dxp = np.zeros(xp_shape, dtype=grad.dtype)
         for k in range(self.kernel):
             dxp[:, k * self.dilation:k * self.dilation + t, :] += grad @ self.params["w"][k].T
         return dxp[:, pad:pad + t, :]
@@ -218,10 +231,10 @@ class Lstm(Layer):
             _shape_error(self, f"(batch, steps, {self.n_in})", x.shape)
         b, t, _ = x.shape
         nh = self.n_hidden
-        h = np.zeros((b, nh))
-        c = np.zeros((b, nh))
+        h = np.zeros((b, nh), dtype=x.dtype)
+        c = np.zeros((b, nh), dtype=x.dtype)
         steps = []
-        out = np.empty((b, t, nh))
+        out = np.empty((b, t, nh), dtype=x.dtype)
         for step in range(t):
             zin = np.concatenate([x[:, step, :], h], axis=1)
             z = zin @ self.params["w"] + self.params["b"]
@@ -243,9 +256,9 @@ class Lstm(Layer):
         b, t, nh = grad.shape
         dw = self.grads["w"]
         db = self.grads["b"]
-        dh_next = np.zeros((b, nh))
-        dc_next = np.zeros((b, nh))
-        dx = np.empty((b, t, self.n_in))
+        dh_next = np.zeros((b, nh), dtype=grad.dtype)
+        dc_next = np.zeros((b, nh), dtype=grad.dtype)
+        dx = np.empty((b, t, self.n_in), dtype=grad.dtype)
         for step in range(t - 1, -1, -1):
             zin, gi, gf, gg, go, c_prev, c_new, tc = self._cache[step]
             dh = grad[:, step, :] + dh_next
@@ -306,7 +319,7 @@ class MultiHeadAttention(Layer):
         k = self._split(x @ p["wk"] + p["bk"])
         v = self._split(x @ p["wv"] + p["bv"])
         scores = q @ k.transpose(0, 1, 3, 2)
-        scores /= np.sqrt(self.head_dim)
+        scores /= self.head_dim ** 0.5   # a Python float: float32 stays float32
         attn = softmax(scores, axis=-1)   # in the scores' buffer
         ctx = self._merge(attn @ v)
         self._keep(training, x, q, k, v, attn, ctx)
@@ -324,7 +337,7 @@ class MultiHeadAttention(Layer):
         dattn = dctx @ v.transpose(0, 1, 3, 2)
         dv = attn.transpose(0, 1, 3, 2) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(self.head_dim)
+        dscores /= self.head_dim ** 0.5
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q
 
@@ -432,7 +445,7 @@ class TakeLast(Layer):
 
     def backward(self, grad):
         (shape,) = self._cache
-        dx = np.zeros(shape)
+        dx = np.zeros(shape, dtype=grad.dtype)
         dx[:, -1, :] = grad
         return dx
 

@@ -1,6 +1,7 @@
 """The syntax `parse_csv` accepts: numbers as Python's `float()` reads them,
 an optional header, quoting, CRLF and extra columns; rows it rejects name
-their row."""
+their line in the file."""
+import re
 import warnings
 
 import numpy as np
@@ -50,9 +51,7 @@ def test_accepted_syntax(text):
     ROWS + "0.5\n",              # one column
 ])
 def test_malformed_row_named(text):
-    # numpy's message names the row: from 0 in a conversion error, from 1
-    # in a column-count error
-    with pytest.raises(DataError, match=r"malformed row: .* row \d+"):
+    with pytest.raises(DataError, match=r"malformed row at line \d+"):
         parse_csv(text)
 
 
@@ -83,3 +82,42 @@ def test_no_warning_escapes(text):
 def test_cr_only_line_ends_rejected():   # earlier versions read them as line ends
     with pytest.raises(DataError, match="malformed row"):
         parse_csv(ROWS.replace("\n", "\r"))
+
+
+# a header and four good rows, so the fifth data row is file line 6
+@pytest.mark.parametrize("bad, message", [
+    (" , ", "malformed row at line 6: b' , '"),   # a conversion error
+    ("2", "malformed row at line 6: b'2'"),       # a column-count error
+    ("2,inf", "line 6 holds a non-finite value"),
+    ("0.5,1_0", "malformed row at line 6"),
+])
+def test_rejected_row_names_its_file_line(bad, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_csv("time_s,mv\n" + ROWS + bad + "\n0.625,1\n")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (" , ", "malformed row at line 10"),
+    ("2", "malformed row at line 10"),
+    ("2,inf", "line 10 holds a non-finite value"),
+    ("0.5,1\n\n0.7,1", "step 0.2s to line 12 deviates"),
+])
+def test_line_count_includes_blank_lines_and_crlf(bad, message):
+    # line 1 blank, 2 the header, 3 blank, 4-7 the rows (two end in CRLF), 8-9 blank
+    text = "\n" + "time_s,mv\n\n" + ROWS.replace("\n", "\r\n", 2) + "\n\n" + bad + "\n"
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_csv(text)
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_csv(text.encode())
+
+
+def test_malformed_last_line_without_newline():
+    with pytest.raises(DataError, match=re.escape("malformed row at line 5: b'0.5'")):
+        parse_csv(ROWS + "0.5")
+
+
+def test_first_of_two_malformed_lines_named():
+    rows = [f"{i / 8!r},1" for i in range(200)]
+    rows[150], rows[37] = "x,1", "0.5,"
+    with pytest.raises(DataError, match="malformed row at line 39"):
+        parse_csv("time_s,mv\n" + "\n".join(rows) + "\n")

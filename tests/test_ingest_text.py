@@ -44,7 +44,7 @@ def test_non_finite_mv_rejected(tmp_path, value):
     values = ["0.5"] * 16
     values[2] = value
     text = rows_at(8, 16, values)
-    with pytest.raises(DataError, match="row 3 holds a non-finite"):
+    with pytest.raises(DataError, match="line 3 holds a non-finite"):
         parse_csv(text)
     record, config = tmp_path / "rec.csv", tmp_path / "run.cfg"
     record.write_text(text)
