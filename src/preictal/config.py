@@ -1,15 +1,16 @@
 """Plain-text `key = value` pipeline configuration.
 
-Every paper-silent default lives here, visible and overridable; unknown keys
-are rejected so typos cannot silently fall back to defaults.  See README.md
-for the full key table.
+Every key is listed here, and unknown keys are rejected so typos cannot
+silently fall back to defaults.  Each key's default and range rule live on
+the stage object that uses it.  See README.md for the full key table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .anomaly import check_smoothing_w
+from .anomaly import DEFAULT_K, DEFAULT_SMOOTHING_W, check_smoothing_w
 from .errors import ConfigError, DataError
 from .evaluation import EvalConfig
 from .features import REPRESENTATIONS
@@ -29,29 +30,29 @@ class PipelineConfig:
                                    # is unstated upstream, so it is configuration)
     patient_id: str = ""           # defaults to the record's own id
     # preprocessing
-    window_s: int = 1
-    overlap_s: int = 0
-    cutoff_hz: float = 40.0
-    filter_order: int = 4
-    zero_phase: bool = True
+    window_s: int = SegmentationConfig.window_s
+    overlap_s: int = SegmentationConfig.overlap_s
+    cutoff_hz: float = FilterConfig.cutoff_hz
+    filter_order: int = FilterConfig.filter_order
+    zero_phase: bool = FilterConfig.zero_phase
     # representation & model
     representation: str = "spectrogram"
     architecture: str = "mh_c_lstm_ae"
     # training
-    epochs: int = 50
-    batch_size: int = 32
-    patience: int = 5
-    min_delta: float = 1e-5
-    holdout_fraction: float = 0.1
-    min_baseline_segments: int = 60
-    seed: int = 0
+    epochs: int = TrainPlan.epochs
+    batch_size: int = TrainPlan.batch_size
+    patience: int = TrainPlan.patience
+    min_delta: float = TrainPlan.min_delta
+    holdout_fraction: float = TrainPlan.holdout_fraction
+    min_baseline_segments: int = TrainPlan.min_baseline_segments
+    seed: int = TrainPlan.seed
     # anomaly post-processing
-    smoothing_w: int = 31
-    k: float = 2.0
+    smoothing_w: int = DEFAULT_SMOOTHING_W
+    k: float = DEFAULT_K
     # evaluation
     preictal_len_s: float | None = None   # None -> dynamic: 3600 s if record >= 4 h else 1800 s
-    postictal_len_s: float = 600.0
-    refractory_gap_s: float = 60.0
+    postictal_len_s: float = EvalConfig.postictal_len_s
+    refractory_gap_s: float = EvalConfig.refractory_gap_s
     # output
     out: str = "runs/out"
 
@@ -60,8 +61,7 @@ class PipelineConfig:
             raise ConfigError("config key 'record' is required")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-_VALID_KEYS = set(_FIELD_TYPES)
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}   # the config keys
 
 
 def _parse_value(key: str, raw: str):
@@ -77,12 +77,13 @@ def _parse_value(key: str, raw: str):
             raise ValueError(f"not a boolean: {raw!r}")
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "float | None":
-            if raw.lower() in ("", "auto", "none"):
-                return None
-            return float(raw)
+        if kind == "float | None" and raw.lower() in ("", "auto", "none"):
+            return None
+        if kind.startswith("float"):
+            value = float(raw)
+            if math.isfinite(value):
+                return value
+            raise ValueError(f"not finite: {raw!r}")
         return raw
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from exc
@@ -102,14 +103,14 @@ def validate_config(text: str, overrides: dict | None = None) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _VALID_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         values[key] = _parse_value(key, raw)
 
     for key, val in (overrides or {}).items():
-        if key not in _VALID_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config override {key!r}")
         values[key] = val
 
@@ -134,15 +135,12 @@ def stage_settings(cfg: PipelineConfig) -> StageSettings:
         check_smoothing_w(cfg.smoothing_w)
     except DataError as exc:
         raise ConfigError(f"smoothing_w: {exc}") from exc
-    preictal = {} if cfg.preictal_len_s is None else {"preictal_len_s": cfg.preictal_len_s}
-    return StageSettings(
-        filter=FilterConfig(cutoff_hz=cfg.cutoff_hz, order=cfg.filter_order,
-                            zero_phase=cfg.zero_phase),
-        segmentation=SegmentationConfig(window_s=cfg.window_s, overlap_s=cfg.overlap_s),
-        train=TrainPlan(epochs=cfg.epochs, batch_size=cfg.batch_size, patience=cfg.patience,
-                        min_delta=cfg.min_delta, seed=cfg.seed,
-                        min_baseline_segments=cfg.min_baseline_segments,
-                        holdout_fraction=cfg.holdout_fraction),
-        evaluation=EvalConfig(postictal_len_s=cfg.postictal_len_s,
-                              refractory_gap_s=cfg.refractory_gap_s, **preictal))
+    return StageSettings(*(_from_config(cls, cfg) for cls in
+                           (FilterConfig, SegmentationConfig, TrainPlan, EvalConfig)))
+
+
+def _from_config(cls, cfg: PipelineConfig):
+    """cls from cfg's same-named fields; a field cfg lacks or holds as None keeps its default."""
+    given = {f.name: getattr(cfg, f.name, None) for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 

@@ -15,7 +15,7 @@ import numpy as np
 from .anomaly import AlarmEvent
 from .errors import ConfigError, DataError
 from .ingest.records import SeizureAnnotation
-from .preprocess import Phase
+from .preprocess import POSTICTAL_LEN_S, Phase
 
 LONG_RECORD_CUTOFF_S = 4 * 3600
 PREICTAL_LONG_S = 3600.0
@@ -30,7 +30,7 @@ def default_preictal_len_s(record_duration_s: float) -> float:
 @dataclass(frozen=True)
 class EvalConfig:
     preictal_len_s: float = PREICTAL_LONG_S
-    postictal_len_s: float = 600.0
+    postictal_len_s: float = POSTICTAL_LEN_S
     refractory_gap_s: float = 60.0
 
     def __post_init__(self):

@@ -5,6 +5,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..preprocess import Phase, SegmentSet
+from .training import TrainPlan
 
 BASELINE_CAP_S = 30 * 60          # never train on more than 30 minutes
 BASELINE_CAP_FRACTION = 0.20      # nor on more than 20% of the record
@@ -19,7 +20,8 @@ def baseline_cap_s(record_duration_s: float) -> float:
 
 
 def select_baseline(segments: SegmentSet, record_duration_s: float,
-                    min_segments: int = 60) -> tuple[np.ndarray, np.ndarray]:
+                    min_segments: int = TrainPlan.min_baseline_segments
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Split segment indices into (train, test).
 
     Train = the initial contiguous INTERICTAL run, truncated to

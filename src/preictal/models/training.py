@@ -32,6 +32,8 @@ class TrainPlan:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ConfigError("epochs, batch_size and patience must all be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.holdout_fraction < 1:
             raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
         if self.min_baseline_segments < 1:
@@ -168,9 +170,10 @@ def score(trained: TrainedModel, features_normalized: np.ndarray,
 
 
 MODEL_FORMAT_VERSION = 1
-# the model.json keys load_trained indexes
-MODEL_KEYS = ("architecture", "representation", "steps", "features", "seed", "epochs",
-              "batch_size", "patience", "min_delta", "normalization_digest", "loss_history")
+# the TrainPlan fields model.json records, and all the model.json keys load_trained indexes
+MODEL_PLAN_FIELDS = ("seed", "epochs", "batch_size", "patience", "min_delta", "holdout_fraction")
+MODEL_KEYS = ("architecture", "representation", "steps", "features", *MODEL_PLAN_FIELDS,
+              "normalization_digest", "loss_history")
 
 
 def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
@@ -185,12 +188,7 @@ def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
         "steps": trained.spec.steps,
         "features": trained.spec.features,
         "hyper": DEFAULT_HYPER,
-        "seed": trained.plan.seed,
-        "epochs": trained.plan.epochs,
-        "batch_size": trained.plan.batch_size,
-        "patience": trained.plan.patience,
-        "min_delta": trained.plan.min_delta,
-        "holdout_fraction": trained.plan.holdout_fraction,
+        **{name: getattr(trained.plan, name) for name in MODEL_PLAN_FIELDS},
         "normalization_digest": stats_digest,
         "loss_history": trained.loss_history,
     }, indent=2, sort_keys=True)
@@ -207,10 +205,10 @@ def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedM
         raise DataError(f"model hyperparameters {meta.get('hyper')} differ from {DEFAULT_HYPER}")
     spec = spec_for_layout(meta["architecture"], meta["representation"],
                            meta["steps"], meta["features"])
-    plan = TrainPlan(epochs=meta["epochs"], batch_size=meta["batch_size"],
-                     patience=meta["patience"], min_delta=meta["min_delta"],
-                     seed=meta["seed"],
-                     holdout_fraction=meta.get("holdout_fraction", 0.1))
+    try:
+        plan = TrainPlan(**{name: meta[name] for name in MODEL_PLAN_FIELDS})
+    except ConfigError as exc:   # the manifest is data, not configuration
+        raise DataError(f"model manifest: {exc}") from exc
     model = instantiate(spec, plan.seed)
     tag, arrays = load_arrays(blob)
     if tag != spec.tag:

@@ -163,7 +163,7 @@ class Dropout(Layer):
         mask = None
         if training and self.p > 0:
             # drawn in float64 in any dtype, so a seed gives the same mask
-            mask = ((self.rng.random(x.shape) >= self.p) / (1.0 - self.p)).astype(x.dtype)
+            mask = (self.rng.random(x.shape) >= self.p).astype(x.dtype) * x.dtype.type(1 / (1 - self.p))
         self._keep(training, mask)
         return x if mask is None else x * mask
 

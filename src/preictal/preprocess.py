@@ -12,6 +12,7 @@ from .ingest.records import EcgRecord, SeizureAnnotation
 
 WINDOW_CHOICES_S = (1, 5, 10)
 OVERLAP_CHOICES_S = (0, 1, 3, 5)
+POSTICTAL_LEN_S = 600.0   # post-ictal segments are labeled for this long after each offset
 
 
 class Phase(IntEnum):
@@ -25,14 +26,14 @@ class Phase(IntEnum):
 class FilterConfig:
     """Order-4 recursive low-pass; zero-phase mode runs it forward and backward."""
     cutoff_hz: float = 40.0
-    order: int = 4
+    filter_order: int = 4
     zero_phase: bool = True
 
     def __post_init__(self):
         if self.cutoff_hz <= 0:
             raise ConfigError(f"cutoff_hz must be positive, got {self.cutoff_hz}")
-        if self.order < 1:
-            raise ConfigError(f"filter_order must be >= 1, got {self.order}")
+        if self.filter_order < 1:
+            raise ConfigError(f"filter_order must be >= 1, got {self.filter_order}")
 
     def validate(self, sampling_rate_hz: int):
         if self.cutoff_hz >= sampling_rate_hz / 2:
@@ -107,7 +108,7 @@ def lowpass(record: EcgRecord, cfg: FilterConfig = FilterConfig()) -> EcgRecord:
     so the result is symmetric under time reversal.
     """
     cfg.validate(record.sampling_rate_hz)
-    b, a = sps.butter(cfg.order, cfg.cutoff_hz / (record.sampling_rate_hz / 2), btype="low")
+    b, a = sps.butter(cfg.filter_order, cfg.cutoff_hz / (record.sampling_rate_hz / 2), btype="low")
     if cfg.zero_phase:
         padlen = min(len(record.samples) - 1, max(3 * record.sampling_rate_hz, 3 * len(a)))
         filtered = sps.filtfilt(b, a, record.samples, padlen=padlen)
@@ -139,7 +140,7 @@ def segment(record: EcgRecord, cfg: SegmentationConfig) -> SegmentSet:
 
 
 def label_phases(segments: SegmentSet, annotations: list[SeizureAnnotation],
-                 preictal_len_s: float, postictal_len_s: float = 600.0) -> SegmentSet:
+                 preictal_len_s: float, postictal_len_s: float = POSTICTAL_LEN_S) -> SegmentSet:
     """Label each segment by its overlap with the annotated seizure windows.
 
     ICTAL if it overlaps [onset, offset]; PREICTAL if it overlaps

@@ -1,8 +1,12 @@
 import pytest
 
+from preictal.anomaly import DEFAULT_K, DEFAULT_SMOOTHING_W
 from preictal.cli import main
-from preictal.config import PipelineConfig, validate_config
+from preictal.config import PipelineConfig, stage_settings, validate_config
 from preictal.errors import ConfigError
+from preictal.evaluation import EvalConfig
+from preictal.models import TrainPlan
+from preictal.preprocess import FilterConfig, SegmentationConfig
 
 
 def test_minimal_config_materializes_defaults():
@@ -78,6 +82,7 @@ def test_overrides_validated():
     "batch_size = 0", "patience = 0", "holdout_fraction = 1", "smoothing_w = 30",
     "preictal_len_s = 0", "postictal_len_s = -1", "refractory_gap_s = -1",
     "min_baseline_segments = 0", "architecture = cnn", "representation = mel",
+    "cutoff_hz = nan", "refractory_gap_s = inf", "k = nan", "preictal_len_s = nan", "seed = -1",
 ])
 def test_out_of_range_value_rejected(line, tmp_path):
     with pytest.raises(ConfigError):
@@ -85,3 +90,15 @@ def test_out_of_range_value_rejected(line, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"record = {tmp_path}/rec.csv\nout = {tmp_path}/out\n{line}\n")
     assert main(["all", "--config", str(cfg)]) == 2
+
+
+def test_negative_cli_seed_exit_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"record = {tmp_path}/rec.csv\nout = {tmp_path}/out\n")
+    assert main(["all", "--config", str(cfg), "--seed", "-1"]) == 2
+
+
+def test_defaults_come_from_the_stage_objects():
+    cfg = validate_config("")
+    assert stage_settings(cfg) == (FilterConfig(), SegmentationConfig(), TrainPlan(), EvalConfig())
+    assert (cfg.smoothing_w, cfg.k) == (DEFAULT_SMOOTHING_W, DEFAULT_K)

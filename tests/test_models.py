@@ -189,6 +189,14 @@ class TestScore:
         with pytest.raises(DataError, match="hyper"):
             load_trained(blob, meta, model.stats)
 
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("epochs", 0)])
+    def test_out_of_range_plan_rejected_on_load(self, trained, key, value):
+        # the manifest is data: its out-of-range values are a DataError, not a ConfigError
+        model, _ = trained
+        blob, manifest = dump_trained(model)
+        with pytest.raises(DataError, match=key):
+            load_trained(blob, {**json.loads(manifest), key: value}, model.stats)
+
 
 def _untrained(kind, representation, feats):
     spec = build(kind, representation, 512)

@@ -254,10 +254,20 @@ _JSON_READERS = (("record.json", "preprocess"), ("baseline.json", "score"),
                  ("model.json", "score"), ("evaluation.json", "report"))
 
 
+def _without(key):
+    """An edit of a JSON object's text that removes `key`."""
+    def edit(text):
+        value = json.loads(text)
+        del value[key]
+        return json.dumps(value)
+    return edit
+
+
 @pytest.mark.parametrize("name, stage, text", [
     *[(name, stage, text) for name, stage in _JSON_READERS for text in ('{"x": 1', "[1, 2]")],
     ("baseline.json", "score", '{"n_train": 100000}'),
     ("model.json", "score", '{"format_version": 1}'),   # valid objects that lack keys
+    ("model.json", "score", _without("holdout_fraction")),
     ("record.json", "preprocess", "{}"),
     ("evaluation.json", "report", '{"patient_id": "x"}'),
     *[("evaluation.json", "report",   # nested objects that lack keys report indexes
@@ -273,7 +283,7 @@ def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, 
     out = tmp_path / "out"
     shutil.copytree(completed_run[0], out)
     (out / "manifest.json").unlink()   # no recorded digests: the reader is the only check
-    (out / name).write_text(text)
+    (out / name).write_text(text((out / name).read_text()) if callable(text) else text)
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out))
     assert main([stage, "--config", str(config)]) == 3
