@@ -8,7 +8,8 @@ float64 holding the float32 values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,6 +93,23 @@ def _epoch_loss(model: Sequential, inputs: np.ndarray, batch_size: int) -> float
     return sum(float(np.sum(sq)) for sq in _squared_errors(model, inputs, batch_size)) / inputs.size
 
 
+def fit_step(model: Sequential, batch: np.ndarray, optimizer: AdamState) -> float:
+    """One optimizer step on a batch; returns the batch loss, and updates no
+    parameter when that loss is not finite.
+
+    The backward pass skips the first layer's input gradient, which nothing
+    reads, and Adam updates the model's parameter buffer as one array: the
+    same elementwise operations as per parameter, so the same bits.
+    """
+    out = model.forward(batch, training=True)
+    loss, grad = mse_loss(out, batch)
+    if np.isfinite(loss):
+        model.zero_grads()
+        model.backward(grad, input_grad=False)
+        adam_step([("params", model.param_buffer, model.grad_buffer)], optimizer)
+    return loss
+
+
 def train(spec: ArchitectureSpec, train_features: np.ndarray, stats: NormalizationStats,
           plan: TrainPlan = TrainPlan()) -> TrainedModel:
     """Train on normalized baseline features; deterministic for a fixed seed.
@@ -123,14 +141,9 @@ def train(spec: ArchitectureSpec, train_features: np.ndarray, stats: Normalizati
     for epoch in range(plan.epochs):
         order = shuffle_rng.permutation(len(fit_set))
         for lo in range(0, len(fit_set), plan.batch_size):
-            batch = fit_set[order[lo:lo + plan.batch_size]]
-            out = model.forward(batch, training=True)
-            loss, grad = mse_loss(out, batch)
+            loss = fit_step(model, fit_set[order[lo:lo + plan.batch_size]], optimizer)
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged (loss {loss}) at epoch {epoch}")
-            model.zero_grads()
-            model.backward(grad)
-            adam_step(model.named_params(), optimizer)
 
         epoch_loss = _epoch_loss(model, monitor_set, plan.batch_size)
         if not np.isfinite(epoch_loss):
@@ -174,6 +187,18 @@ MODEL_FORMAT_VERSION = 1
 MODEL_PLAN_FIELDS = ("seed", "epochs", "batch_size", "patience", "min_delta", "holdout_fraction")
 MODEL_KEYS = ("architecture", "representation", "steps", "features", *MODEL_PLAN_FIELDS,
               "normalization_digest", "loss_history")
+_PLAN_TYPES = {f.name: f.type for f in fields(TrainPlan)}   # "int" or "float"
+
+
+def _is_json_number(value, kind: str) -> bool:
+    """Whether a parsed JSON value fits a field of type kind ("int" or
+    "float"): a bool is not an int, an int passes for a float, and a float
+    must be finite."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return True
+    return kind == "float" and isinstance(value, float) and math.isfinite(value)
 
 
 def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
@@ -205,6 +230,13 @@ def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedM
         raise DataError(f"model hyperparameters {meta.get('hyper')} differ from {DEFAULT_HYPER}")
     spec = spec_for_layout(meta["architecture"], meta["representation"],
                            meta["steps"], meta["features"])
+    for name in MODEL_PLAN_FIELDS:
+        if not _is_json_number(meta[name], _PLAN_TYPES[name]):
+            raise DataError(f"model manifest: {name} holds {meta[name]!r}, "
+                            f"not a valid {_PLAN_TYPES[name]}")
+    history = meta["loss_history"]
+    if not (isinstance(history, list) and all(_is_json_number(v, "float") for v in history)):
+        raise DataError("model manifest: loss_history is not a list of finite numbers")
     try:
         plan = TrainPlan(**{name: meta[name] for name in MODEL_PLAN_FIELDS})
     except ConfigError as exc:   # the manifest is data, not configuration
@@ -220,7 +252,7 @@ def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedM
             raise DataError(f"array {name!r} has shape {arrays[name].shape}, expected {arr.shape}")
         arr[...] = arrays[name]
     return TrainedModel(spec=spec, model=model, stats=stats, plan=plan,
-                        loss_history=list(meta["loss_history"]))
+                        loss_history=list(history))
 
 
 def _stats_digest(stats: NormalizationStats) -> str:

@@ -13,6 +13,16 @@ thread count changes.
 Layers keep backward state only after a training forward: inference
 (`forward(training=False)`) stores nothing, so scoring costs no more memory
 than the activations in flight, and a backward after it raises DataError.
+
+`Layer.astype` lays a model's parameters out as views into one contiguous
+array (`param_buffer`) and its gradients as views into another
+(`grad_buffer`), so training updates them with one `adam_step` triple.
+Training also calls `backward(grad, input_grad=False)`, so the first layer
+returns no input gradient, which nothing reads: `Dense` and `Conv1d` skip its
+products, and `Lstm` only skips storing it (its recurrent gradient comes from
+the same product, and a product without the input rows rounds differently).
+Both keep every update bit-identical to per-array Adam after a full backward
+pass.
 """
 import numpy as np
 

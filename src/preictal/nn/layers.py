@@ -7,7 +7,9 @@ sequence tensors are (batch, steps, features).  Each layer caches what its
 backward pass needs during a training-mode forward only; an inference
 forward keeps nothing, so a backward after it raises instead of reusing an
 older batch's cache.  Backward returns the input gradient and accumulates
-parameter gradients in .grads.  Gradients are validated against central
+parameter gradients in .grads; `Dense`, `Conv1d` and `Lstm` also take
+`input_grad=False`, which returns None instead, for a model's first layer,
+whose input gradient nobody reads.  Gradients are validated against central
 finite differences in the test suite.
 """
 from __future__ import annotations
@@ -52,6 +54,12 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _walk(self):
+        """This layer and every descendant, depth-first."""
+        yield self
+        for _, child in self.children:
+            yield from child._walk()
+
     def named_params(self, prefix: str = ""):
         """(name, param, grad) triples for every trainable array, depth-first."""
         for k in self.params:
@@ -69,13 +77,29 @@ class Layer:
             yield from child.named_arrays(f"{prefix}{child_name}.")
 
     def astype(self, dtype) -> "Layer":
-        """Cast every parameter, gradient and buffer, depth-first, in place;
-        returns self."""
-        for arrays in (self.params, self.grads, self.buffers):
-            for k in arrays:
-                arrays[k] = arrays[k].astype(dtype)
-        for _, child in self.children:
-            child.astype(dtype)
+        """Cast every parameter, gradient and buffer, depth-first; returns self.
+
+        The parameters become views into one contiguous array, `param_buffer`,
+        in `named_params` order, and the gradients views into `grad_buffer`,
+        so an optimizer can update them all as one array.  The layer this is
+        called on owns both; a later astype lays them out afresh.
+        """
+        slots = []
+        for layer in self._walk():
+            for k in layer.buffers:
+                layer.buffers[k] = layer.buffers[k].astype(dtype)
+            slots += [(layer, k) for k in layer.params]
+        size = sum(layer.params[k].size for layer, k in slots)
+        self.param_buffer = np.empty(size, dtype=dtype)
+        self.grad_buffer = np.empty(size, dtype=dtype)
+        offset = 0
+        for layer, k in slots:
+            end = offset + layer.params[k].size
+            for arrays, flat in ((layer.params, self.param_buffer), (layer.grads, self.grad_buffer)):
+                view = flat[offset:end].reshape(arrays[k].shape)
+                view[...] = arrays[k]
+                arrays[k] = view
+            offset = end
         return self
 
     def zero_grads(self):
@@ -108,10 +132,12 @@ class Sequential(Layer):
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad):
-        for layer in reversed(self.layers):
+    def backward(self, grad, input_grad=True):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return self.layers[0].backward(grad)
+        return self.layers[0].backward(grad, input_grad=False)
 
 
 class Dense(Layer):
@@ -129,13 +155,13 @@ class Dense(Layer):
         self._keep(training, x)
         return x @ self.params["w"] + self.params["b"]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         (x,) = self._cache
         x2 = x.reshape(-1, self.n_in)
         g2 = grad.reshape(-1, self.n_out)
         self.grads["w"] += x2.T @ g2
         self.grads["b"] += g2.sum(axis=0)
-        return grad @ self.params["w"].T
+        return grad @ self.params["w"].T if input_grad else None
 
 
 class Relu(Layer):
@@ -191,21 +217,28 @@ class Conv1d(Layer):
             _shape_error(self, f"(batch, steps, {self.in_ch})", x.shape)
         b, t, _ = x.shape
         pad = self.dilation * (self.kernel - 1) // 2
-        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-        windows = np.stack([xp[:, k * self.dilation:k * self.dilation + t, :]
-                            for k in range(self.kernel)], axis=2)  # (b, t, kernel, in)
-        self._keep(training, windows, xp.shape, pad)
+        # windows[:, s, k] = x[:, s + k * dilation - pad], zero outside the input;
+        # a tap may lie wholly outside it when t <= dilation
+        windows = np.zeros((b, t, self.kernel, self.in_ch), dtype=x.dtype)
+        for k in range(self.kernel):
+            shift = k * self.dilation - pad
+            lo, hi = max(0, -shift), min(t, t - shift)
+            if lo < hi:
+                windows[:, lo:hi, k] = x[:, lo + shift:hi + shift]
+        self._keep(training, windows, pad)
         out = windows.reshape(b, t, -1) @ self.params["w"].reshape(-1, self.out_ch)
         return out + self.params["b"]
 
-    def backward(self, grad):
-        windows, xp_shape, pad = self._cache
-        t = grad.shape[1]
+    def backward(self, grad, input_grad=True):
+        windows, pad = self._cache
+        b, t, _ = grad.shape
         g2 = grad.reshape(-1, self.out_ch)
         win2 = windows.reshape(-1, self.kernel * self.in_ch)
         self.grads["w"] += (win2.T @ g2).reshape(self.kernel, self.in_ch, self.out_ch)
         self.grads["b"] += g2.sum(axis=0)
-        dxp = np.zeros(xp_shape, dtype=grad.dtype)
+        if not input_grad:
+            return None
+        dxp = np.zeros((b, t + 2 * pad, self.in_ch), dtype=grad.dtype)
         for k in range(self.kernel):
             dxp[:, k * self.dilation:k * self.dilation + t, :] += grad @ self.params["w"][k].T
         return dxp[:, pad:pad + t, :]
@@ -252,13 +285,13 @@ class Lstm(Layer):
         self._keep(training, *steps)
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         b, t, nh = grad.shape
         dw = self.grads["w"]
         db = self.grads["b"]
         dh_next = np.zeros((b, nh), dtype=grad.dtype)
         dc_next = np.zeros((b, nh), dtype=grad.dtype)
-        dx = np.empty((b, t, self.n_in), dtype=grad.dtype)
+        dx = np.empty((b, t, self.n_in), dtype=grad.dtype) if input_grad else None
         for step in range(t - 1, -1, -1):
             zin, gi, gf, gg, go, c_prev, c_new, tc = self._cache[step]
             dh = grad[:, step, :] + dh_next
@@ -275,8 +308,11 @@ class Lstm(Layer):
             ], axis=1)
             dw += zin.T @ dz
             db += dz.sum(axis=0)
+            # the whole product even without dx: dh_next alone, from
+            # W[n_in:], rounds differently
             dzin = dz @ self.params["w"].T
-            dx[:, step, :] = dzin[:, :self.n_in]
+            if input_grad:
+                dx[:, step, :] = dzin[:, :self.n_in]
             dh_next = dzin[:, self.n_in:]
             dc_next = dc * gf
         return dx

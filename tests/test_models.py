@@ -12,7 +12,8 @@ from preictal.models import (ARCHITECTURES, BaselineUnavailableError,
                              load_trained, parameter_count, score,
                              select_baseline, sequence_layout, to_model_input,
                              train)
-from preictal.models.training import SCORE_BATCH, TrainedModel, row_blocks
+from preictal.models.training import SCORE_BATCH, TrainedModel, fit_step, row_blocks
+from preictal.nn import AdamState, adam_step, mse_loss
 from preictal.preprocess import Phase, SegmentationConfig, label_phases, segment
 
 REPRESENTATIONS = ("dwt", "scalogram", "spectrogram")
@@ -196,6 +197,69 @@ class TestScore:
         blob, manifest = dump_trained(model)
         with pytest.raises(DataError, match=key):
             load_trained(blob, {**json.loads(manifest), key: value}, model.stats)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "x"), ("holdout_fraction", None), ("seed", 1.5), ("loss_history", 5),
+        ("min_delta", "x"), ("batch_size", True), ("patience", 2.0),
+        ("min_delta", float("nan")), ("holdout_fraction", float("inf")),
+        ("loss_history", [1.0, float("nan")]), ("loss_history", [1.0, False])])
+    def test_wrongly_typed_plan_rejected_on_load(self, trained, key, value):
+        # a bool is not an int, a float is not an int, and floats must be finite
+        model, _ = trained
+        blob, manifest = dump_trained(model)
+        with pytest.raises(DataError, match=key):
+            load_trained(blob, {**json.loads(manifest), key: value}, model.stats)
+
+    def test_int_passes_for_a_float_on_load(self, trained):
+        model, _ = trained
+        blob, manifest = dump_trained(model)
+        meta = {**json.loads(manifest), "min_delta": 0, "loss_history": [1, 0.5]}
+        back = load_trained(blob, meta, model.stats)
+        assert back.plan.min_delta == 0 and back.loss_history == [1, 0.5]
+
+
+def _assert_in_buffers(model):
+    """Every parameter and gradient is a view into the model's two buffers,
+    which they cover exactly."""
+    total = 0
+    for name, param, grad in model.named_params():
+        assert np.shares_memory(param, model.param_buffer), name
+        assert np.shares_memory(grad, model.grad_buffer), name
+        total += param.size
+    assert total == model.param_buffer.size == model.grad_buffer.size
+
+
+@pytest.mark.parametrize("kind", ARCHITECTURES)
+def test_fit_step_matches_per_array_adam_bit_for_bit(kind):
+    # the reference runs the full backward and Adam once per parameter array;
+    # fit_step skips the first layer's input gradient and updates one buffer
+    spec = build(kind, "spectrogram", 512)
+    reference, flat = instantiate(spec, seed=4), instantiate(spec, seed=4)
+    batch = np.random.default_rng(5).normal(size=(8, spec.steps, spec.features)).astype(np.float32)
+    ref_state, flat_state = AdamState(), AdamState()
+    for _ in range(3):
+        loss, grad = mse_loss(reference.forward(batch, training=True), batch)
+        reference.zero_grads()
+        reference.backward(grad)
+        adam_step(reference.named_params(), ref_state)
+        assert fit_step(flat, batch, flat_state) == loss
+    for (name, a), (_, b) in zip(reference.named_arrays(), flat.named_arrays()):
+        assert a.tobytes() == b.tobytes(), name
+    _assert_in_buffers(flat)
+
+
+@pytest.mark.parametrize("kind", ARCHITECTURES)
+def test_parameters_stay_views_into_the_buffers(kind, baseline_segments):
+    norm, stats = small_training_setup(baseline_segments, count=24)
+    spec = build(kind, "spectrogram", 512)
+    _assert_in_buffers(instantiate(spec, seed=0))
+    trained = train(spec, norm, stats, TrainPlan(epochs=1, batch_size=8, seed=0))
+    blob, manifest = dump_trained(trained)
+    back = load_trained(blob, json.loads(manifest), stats)
+    _assert_in_buffers(back.model)
+    back.model.astype(np.float64)   # cast again: the views follow the new buffers
+    assert back.model.param_buffer.dtype == np.float64
+    _assert_in_buffers(back.model)
 
 
 def _untrained(kind, representation, feats):

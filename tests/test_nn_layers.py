@@ -51,6 +51,7 @@ LAYER_CASES = [
     ("conv_d1", lambda rng: Conv1d(3, 5, rng, dilation=1), (2, 9, 3)),
     ("conv_d2", lambda rng: Conv1d(3, 5, rng, dilation=2), (2, 9, 3)),
     ("conv_d4", lambda rng: Conv1d(3, 5, rng, dilation=4), (2, 9, 3)),
+    ("conv_d4_short", lambda rng: Conv1d(3, 5, rng, dilation=4), (2, 3, 3)),  # taps in padding
     ("lstm_3steps", lambda rng: Lstm(4, 6, rng), (3, 3, 4)),
     ("attention", lambda rng: MultiHeadAttention(8, rng, heads=4), (2, 5, 8)),
     ("batchnorm", lambda rng: BatchNorm(6), (5, 4, 6)),
@@ -127,6 +128,35 @@ def test_conv_same_padding_preserves_steps(dilation):
     for steps in (5, 9, 32):
         out = layer.forward(DATA.normal(size=(2, steps, 3)))
         assert out.shape == (2, steps, 4)
+
+
+@pytest.mark.parametrize("dilation, steps", [(1, 1), (1, 5), (2, 1), (2, 3), (2, 9),
+                                            (4, 1), (4, 3), (4, 5), (4, 9)])
+def test_conv_windows_match_pad_and_stack(dilation, steps):
+    # t <= dilation puts whole taps in the zero padding
+    layer = Conv1d(3, 4, make_rng(6), dilation=dilation)
+    x = DATA.normal(size=(2, steps, 3))
+    pad = dilation * (layer.kernel - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    windows = np.stack([xp[:, k * dilation:k * dilation + steps, :]
+                        for k in range(layer.kernel)], axis=2)
+    expected = windows.reshape(2, steps, -1) @ layer.params["w"].reshape(-1, 4) + layer.params["b"]
+    assert layer.forward(x).tobytes() == expected.tobytes()
+
+
+def test_first_layer_skips_only_the_input_gradient():
+    for make, shape in [(lambda rng: Dense(5, 7, rng), (4, 5)),
+                        (lambda rng: Conv1d(3, 5, rng, dilation=4), (2, 3, 3)),
+                        (lambda rng: Lstm(4, 6, rng), (3, 3, 4)),
+                        (lambda rng: Sequential([Conv1d(3, 5, rng), Relu()]), (2, 9, 3))]:
+        full, skip = make(make_rng(0)), make(make_rng(0))
+        x = DATA.normal(size=shape)
+        grad = np.ones_like(full.forward(x, training=True))
+        skip.forward(x, training=True)
+        assert full.backward(grad) is not None
+        assert skip.backward(grad, input_grad=False) is None
+        for (name, _, a), (_, _, b) in zip(full.named_params(), skip.named_params()):
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_shape_mismatch_reports_both_shapes():
