@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..blocks import fan_out, row_blocks
 from ..errors import ConfigError
 from ..preprocess import SegmentSet
 from .cwt import cwt_scalogram, mexican_hat
@@ -54,14 +55,18 @@ def _rows_per_call(representation: str, window_samples: int) -> int:
 
 
 def extract_features(segments: SegmentSet, representation: str) -> np.ndarray:
-    """Stack one feature tensor per segment along axis 0 (raw, un-normalized)."""
+    """Stack one feature tensor per segment along axis 0 (raw, un-normalized);
+    the transform calls fan out over the CPUs (`blocks.fan_out`)."""
     window = segments.config.window_samples
     shape = feature_shape(representation, window)
     transform = _TRANSFORMS[representation]
     rows = _rows_per_call(representation, window)
     out = np.empty((len(segments), *shape))
-    for start in range(0, len(segments), rows):
-        out[start:start + rows] = transform(segments.samples[start:start + rows])
+
+    def run(lo, hi):
+        out[lo:hi] = transform(segments.samples[lo:hi])
+
+    fan_out(run, row_blocks(len(segments), rows), rows)
     return out
 
 

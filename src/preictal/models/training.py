@@ -13,11 +13,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ..blocks import fan_out, row_blocks
 from ..errors import ConfigError, DataError, NumericError
-from ..features import NormalizationStats
+from ..features import REPRESENTATIONS, NormalizationStats
 from ..nn import AdamState, Sequential, adam_step, dump_arrays, load_arrays, make_rng, mse_loss
-from .architectures import (DEFAULT_HYPER, ArchitectureSpec, instantiate, spec_for_layout,
-                            to_model_input)
+from .architectures import (ARCHITECTURES, DEFAULT_HYPER, ArchitectureSpec, instantiate,
+                            spec_for_layout, to_model_input)
 
 
 @dataclass(frozen=True)
@@ -66,31 +67,15 @@ def _model_input(spec: ArchitectureSpec, features: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def row_blocks(count: int, size: int, min_rows: int = 1):
-    """(lo, hi) bounds of consecutive blocks of size rows covering
-    range(count); a last block of fewer than min_rows rows joins the one
-    before it."""
-    lo = 0
-    while lo < count:
-        hi = lo + size
-        if count - hi < min_rows:
-            hi = count
-        yield lo, hi
-        lo = hi
-
-
-def _squared_errors(model: Sequential, inputs: np.ndarray, batch_size: int,
-                    min_rows: int = 1):
-    """Inference-mode (reconstruction - input) ** 2, one batch at a time; a
-    last batch of fewer than min_rows rows joins the batch before it."""
-    for lo, hi in row_blocks(len(inputs), batch_size, min_rows):
-        batch = inputs[lo:hi]
-        yield (model.forward(batch, training=False) - batch) ** 2
+def _squared_errors(model: Sequential, batch: np.ndarray) -> np.ndarray:
+    """Inference-mode (reconstruction - input) ** 2 of one batch."""
+    return (model.forward(batch, training=False) - batch) ** 2
 
 
 def _epoch_loss(model: Sequential, inputs: np.ndarray, batch_size: int) -> float:
     """Inference-mode mean reconstruction MSE over a stacked input tensor."""
-    return sum(float(np.sum(sq)) for sq in _squared_errors(model, inputs, batch_size)) / inputs.size
+    return sum(float(np.sum(_squared_errors(model, inputs[lo:hi])))
+               for lo, hi in row_blocks(len(inputs), batch_size)) / inputs.size
 
 
 def fit_step(model: Sequential, batch: np.ndarray, optimizer: AdamState) -> float:
@@ -174,10 +159,15 @@ def score(trained: TrainedModel, features_normalized: np.ndarray,
     No batch holds a single row unless the input does: a one-row product takes
     another BLAS path and rounds differently, so a one-row tail joins the batch
     before it and a segment's score does not depend on the record's length.
+    The batches fan out over the CPUs (`blocks.fan_out`); an inference forward
+    keeps no state, so the threads share the model.
     """
     inputs = _model_input(trained.spec, features_normalized)
-    sums = [np.sum(sq, axis=(1, 2))
-            for sq in _squared_errors(trained.model, inputs, batch_size, min_rows=2)]
+
+    def run(lo, hi):
+        return np.sum(_squared_errors(trained.model, inputs[lo:hi]), axis=(1, 2))
+
+    sums = fan_out(run, row_blocks(len(inputs), batch_size, min_rows=2), batch_size)
     count = trained.spec.steps * trained.spec.features
     return (np.concatenate(sums or [np.empty(0, np.float32)]) / count).astype(np.float64)
 
@@ -188,9 +178,10 @@ MODEL_PLAN_FIELDS = ("seed", "epochs", "batch_size", "patience", "min_delta", "h
 MODEL_KEYS = ("architecture", "representation", "steps", "features", *MODEL_PLAN_FIELDS,
               "normalization_digest", "loss_history")
 _PLAN_TYPES = {f.name: f.type for f in fields(TrainPlan)}   # "int" or "float"
+_LAYOUT_CHOICES = {"architecture": ARCHITECTURES, "representation": REPRESENTATIONS}
 
 
-def _is_json_number(value, kind: str) -> bool:
+def is_json_number(value, kind: str) -> bool:
     """Whether a parsed JSON value fits a field of type kind ("int" or
     "float"): a bool is not an int, an int passes for a float, and a float
     must be finite."""
@@ -228,14 +219,20 @@ def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedM
         raise DataError("normalization stats do not match the model manifest digest")
     if meta.get("hyper") != DEFAULT_HYPER:
         raise DataError(f"model hyperparameters {meta.get('hyper')} differ from {DEFAULT_HYPER}")
+    for name, choices in _LAYOUT_CHOICES.items():
+        if not (isinstance(meta[name], str) and meta[name] in choices):
+            raise DataError(f"model manifest: {name} holds {meta[name]!r}, not one of {choices}")
+    for name in ("steps", "features"):
+        if not (is_json_number(meta[name], "int") and meta[name] > 0):
+            raise DataError(f"model manifest: {name} holds {meta[name]!r}, not a positive int")
     spec = spec_for_layout(meta["architecture"], meta["representation"],
                            meta["steps"], meta["features"])
     for name in MODEL_PLAN_FIELDS:
-        if not _is_json_number(meta[name], _PLAN_TYPES[name]):
+        if not is_json_number(meta[name], _PLAN_TYPES[name]):
             raise DataError(f"model manifest: {name} holds {meta[name]!r}, "
                             f"not a valid {_PLAN_TYPES[name]}")
     history = meta["loss_history"]
-    if not (isinstance(history, list) and all(_is_json_number(v, "float") for v in history)):
+    if not (isinstance(history, list) and all(is_json_number(v, "float") for v in history)):
         raise DataError("model manifest: loss_history is not a list of finite numbers")
     try:
         plan = TrainPlan(**{name: meta[name] for name in MODEL_PLAN_FIELDS})

@@ -13,6 +13,8 @@ thread count changes.
 Layers keep backward state only after a training forward: inference
 (`forward(training=False)`) stores nothing, so scoring costs no more memory
 than the activations in flight, and a backward after it raises DataError.
+Since an inference forward keeps no state, threads may share one model for
+scoring.
 
 `Layer.astype` lays a model's parameters out as views into one contiguous
 array (`param_buffer`) and its gradients as views into another

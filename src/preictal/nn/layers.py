@@ -6,11 +6,11 @@ gradient checks run the same code in float64.  Tensors are batch-first:
 sequence tensors are (batch, steps, features).  Each layer caches what its
 backward pass needs during a training-mode forward only; an inference
 forward keeps nothing, so a backward after it raises instead of reusing an
-older batch's cache.  Backward returns the input gradient and accumulates
-parameter gradients in .grads; `Dense`, `Conv1d` and `Lstm` also take
-`input_grad=False`, which returns None instead, for a model's first layer,
-whose input gradient nobody reads.  Gradients are validated against central
-finite differences in the test suite.
+older batch's cache, and threads may share one model for scoring.  Backward
+returns the input gradient and accumulates parameter gradients in .grads;
+`Dense`, `Conv1d` and `Lstm` also take `input_grad=False`, which returns None
+instead, for a model's first layer, whose input gradient nobody reads.
+Gradients are validated against central finite differences in the test suite.
 """
 from __future__ import annotations
 

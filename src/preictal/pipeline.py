@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
+from .blocks import row_blocks
 from .cache import (FeatureLayout, dump_features, dump_segments, load_features, load_segments,
                     read_feature_rows, read_features_layout)
 from .config import PipelineConfig, stage_settings
@@ -36,7 +37,7 @@ from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
-from .models.training import MODEL_KEYS, SCORE_BATCH, row_blocks, score
+from .models.training import MODEL_KEYS, SCORE_BATCH, is_json_number, score
 from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
@@ -236,7 +237,16 @@ class Pipeline:
         return value
 
     def _record_meta(self) -> dict:
-        return self._json("record.json", "patient_id", "sampling_rate_hz", "duration_s")
+        """record.json: a str patient_id and finite positive numbers for the rest."""
+        meta = self._json("record.json", "patient_id", "sampling_rate_hz", "duration_s")
+        wrong = [key for key in ("sampling_rate_hz", "duration_s")
+                 if not (is_json_number(meta[key], "float") and meta[key] > 0)]
+        if not isinstance(meta["patient_id"], str):
+            wrong.insert(0, "patient_id")
+        if wrong:
+            raise DataError(f"artifact 'record.json' holds an invalid {', '.join(wrong)}; "
+                            f"re-run 'convert'")
+        return meta
 
     def _annotations(self) -> list[SeizureAnnotation]:
         return load_annotations(self._require("annotations.csv").read_text())
@@ -331,7 +341,11 @@ class Pipeline:
         stats = fit_normalization(feats)
         spec = build(self.cfg.architecture, self.cfg.representation,
                      segments.config.window_samples)
-        trained = train(spec, apply_normalization(feats, stats), stats, plan)
+        # the float32 rows train reads, so the raw and normalized float64 rows
+        # are not held through training
+        inputs = apply_normalization(feats, stats).astype(np.float32)
+        del feats
+        trained = train(spec, inputs, stats, plan)
 
         blob, manifest_json = dump_trained(trained)
         (self.out / "model.params").write_bytes(blob)

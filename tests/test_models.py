@@ -210,6 +210,18 @@ class TestScore:
         with pytest.raises(DataError, match=key):
             load_trained(blob, {**json.loads(manifest), key: value}, model.stats)
 
+    @pytest.mark.parametrize("key, value", [
+        ("features", 2.5), ("architecture", 3), ("steps", "x"), ("representation", None),
+        ("architecture", "gru_ae"), ("representation", "wavelet"), ("steps", 0),
+        ("features", -257), ("steps", True)])
+    def test_wrongly_typed_layout_rejected_on_load(self, trained, key, value):
+        # the manifest is data: a bad layout value is a DataError, not a TypeError
+        # or a ConfigError
+        model, _ = trained
+        blob, manifest = dump_trained(model)
+        with pytest.raises(DataError, match=key):
+            load_trained(blob, {**json.loads(manifest), key: value}, model.stats)
+
     def test_int_passes_for_a_float_on_load(self, trained):
         model, _ = trained
         blob, manifest = dump_trained(model)

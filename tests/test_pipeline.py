@@ -263,12 +263,23 @@ def _without(key):
     return edit
 
 
+def _with(key, value):
+    """An edit of a JSON object's text that sets `key` to `value`."""
+    def edit(text):
+        return json.dumps({**json.loads(text), key: value})
+    return edit
+
+
 @pytest.mark.parametrize("name, stage, text", [
     *[(name, stage, text) for name, stage in _JSON_READERS for text in ('{"x": 1', "[1, 2]")],
     ("baseline.json", "score", '{"n_train": 100000}'),
     ("model.json", "score", '{"format_version": 1}'),   # valid objects that lack keys
     ("model.json", "score", _without("holdout_fraction")),
     ("record.json", "preprocess", "{}"),
+    ("record.json", "train", _with("duration_s", None)),   # wrongly typed values
+    ("record.json", "preprocess", _with("patient_id", 7)),
+    ("record.json", "preprocess", _with("sampling_rate_hz", True)),
+    ("record.json", "preprocess", _with("sampling_rate_hz", -512)),
     ("evaluation.json", "report", '{"patient_id": "x"}'),
     *[("evaluation.json", "report",   # nested objects that lack keys report indexes
        '{"patient_id": "x", "metrics": {}, "confusion": {}, "counting_note": "", '
