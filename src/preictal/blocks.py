@@ -10,7 +10,6 @@ temporaries, so memory grows with the thread count, not with the row count.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -28,49 +27,30 @@ def row_blocks(count: int, size: int, min_rows: int = 1):
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def fan_out(run, blocks, size: int) -> list:
     """[run(lo, hi) for lo, hi in blocks], in block order.
 
-    The calling thread and n - 1 pool threads take the blocks in turn, where n
-    is the smaller of the CPU count and the number of blocks of at least size
-    rows; below two, the blocks run in a plain loop on the calling thread, so
-    an input of one full block starts no thread.  An error raised in a block
-    reaches the caller, and no block starts after it.
+    With n the smaller of the CPU count and the number of blocks of at least
+    size rows, thread k of n takes blocks k, k + n, k + 2n, ...: the calling
+    thread is thread 0, and n - 1 pool threads take the rest.  Below two, the
+    blocks run in a plain loop on the calling thread, so an input of one full
+    block starts no thread.  An error raised in a block reaches the caller.
     """
     blocks = list(blocks)
     n = min(cpu_count(), sum(hi - lo >= size for lo, hi in blocks))
     if n < 2:
         return [run(lo, hi) for lo, hi in blocks]
-    results = [None] * len(blocks)
-    todo = iter(enumerate(blocks))
-    lock = threading.Lock()
 
-    def drain():
-        while True:
-            with lock:
-                item = next(todo, None)
-            if item is None:
-                return
-            i, (lo, hi) = item
-            try:
-                results[i] = run(lo, hi)
-            except BaseException:
-                with lock:
-                    for _ in todo:   # no other thread starts a block
-                        pass
-                raise
+    def stripe(k):
+        return [run(lo, hi) for lo, hi in blocks[k::n]]
 
     with ThreadPoolExecutor(n - 1) as pool:
-        workers = [pool.submit(drain) for _ in range(n - 1)]
-        try:
-            drain()
-        finally:   # an error on the calling thread goes first
-            errors = [worker.exception() for worker in workers]
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+        workers = [pool.submit(stripe, k) for k in range(1, n)]
+        parts = [stripe(0)] + [worker.result() for worker in workers]
+    return [parts[i % n][i // n] for i in range(len(blocks))]

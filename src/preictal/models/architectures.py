@@ -76,12 +76,6 @@ def to_model_input(features: np.ndarray, representation: str) -> np.ndarray:
 def build(kind: str, representation: str, window_samples: int) -> ArchitectureSpec:
     """Validate and freeze an architecture description (no parameters yet)."""
     steps, features = sequence_layout(representation, window_samples)
-    return spec_for_layout(kind, representation, steps, features)
-
-
-def spec_for_layout(kind: str, representation: str, steps: int,
-                    features: int) -> ArchitectureSpec:
-    """The spec for a known (steps, features) layout, as stored in model.json."""
     if kind not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {kind!r} (choose from {ARCHITECTURES})")
     return ArchitectureSpec(kind=kind, representation=representation,

@@ -8,17 +8,16 @@ float64 holding the float32 values exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..blocks import fan_out, row_blocks
-from ..errors import ConfigError, DataError, NumericError
+from ..errors import ConfigError, DataError, NumericError, is_json_number
 from ..features import REPRESENTATIONS, NormalizationStats
 from ..nn import AdamState, Sequential, adam_step, dump_arrays, load_arrays, make_rng, mse_loss
 from .architectures import (ARCHITECTURES, DEFAULT_HYPER, ArchitectureSpec, instantiate,
-                            spec_for_layout, to_model_input)
+                            to_model_input)
 
 
 @dataclass(frozen=True)
@@ -181,17 +180,6 @@ _PLAN_TYPES = {f.name: f.type for f in fields(TrainPlan)}   # "int" or "float"
 _LAYOUT_CHOICES = {"architecture": ARCHITECTURES, "representation": REPRESENTATIONS}
 
 
-def is_json_number(value, kind: str) -> bool:
-    """Whether a parsed JSON value fits a field of type kind ("int" or
-    "float"): a bool is not an int, an int passes for a float, and a float
-    must be finite."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, int):
-        return True
-    return kind == "float" and isinstance(value, float) and math.isfinite(value)
-
-
 def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
     """(parameter file bytes, sidecar manifest JSON) for one trained model."""
     arrays = dict(trained.model.named_arrays())
@@ -225,8 +213,8 @@ def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedM
     for name in ("steps", "features"):
         if not (is_json_number(meta[name], "int") and meta[name] > 0):
             raise DataError(f"model manifest: {name} holds {meta[name]!r}, not a positive int")
-    spec = spec_for_layout(meta["architecture"], meta["representation"],
-                           meta["steps"], meta["features"])
+    spec = ArchitectureSpec(kind=meta["architecture"], representation=meta["representation"],
+                            steps=meta["steps"], features=meta["features"])
     for name in MODEL_PLAN_FIELDS:
         if not is_json_number(meta[name], _PLAN_TYPES[name]):
             raise DataError(f"model manifest: {name} holds {meta[name]!r}, "

@@ -28,7 +28,7 @@ from .blocks import row_blocks
 from .cache import (FeatureLayout, dump_features, dump_segments, load_features, load_segments,
                     read_feature_rows, read_features_layout)
 from .config import PipelineConfig, stage_settings
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_json_number
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
@@ -37,7 +37,7 @@ from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
-from .models.training import MODEL_KEYS, SCORE_BATCH, is_json_number, score
+from .models.training import MODEL_KEYS, SCORE_BATCH, score
 from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
