@@ -1,9 +1,9 @@
 """Chunked binary caches for segment sets and feature tensors.
 
 Both formats are little-endian with a fixed header followed by one chunk per
-item; byte layouts are documented in docs/formats.md.  A feature cache can
-also be written and read a block of rows at a time, so a long record's
-feature tensor is never resident whole.
+item; byte layouts are documented in docs/formats.md.  A feature cache's
+rows have a fixed stride, so each block of rows can be written or read at
+its own offset, and a long record's feature tensor is never resident whole.
 """
 from __future__ import annotations
 
@@ -95,15 +95,17 @@ class FeatureLayout(NamedTuple):
 _FEATURES_HEADER_MAX = FeatureLayout("dwt", (1,) * MAX_NDIM, 0).offset   # the longest header
 
 
-def dump_features(features: np.ndarray, representation: str, header: bool = True) -> bytes:
+def dump_features(features: np.ndarray, representation: str, header: bool = True):
     """An FTR1 file's bytes for the stacked features: the header, then the
-    rows.  header=False gives the rows alone, to follow a header written
-    for the whole file."""
+    rows.  header=False gives the rows alone, to write after a header written
+    for the whole file, as a contiguous `<f8` array (bytes-like; no copy of
+    an input that already is one)."""
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim < 2:
         raise DataError("features must be stacked with items along axis 0")
-    head = FeatureLayout(representation, feats.shape[1:], len(feats)).header
-    return head + feats.tobytes() if header else feats.tobytes()
+    if not header:
+        return feats
+    return FeatureLayout(representation, feats.shape[1:], len(feats)).header + feats.tobytes()
 
 
 def _features_layout(data: bytes, size: int) -> FeatureLayout:

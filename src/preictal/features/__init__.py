@@ -47,7 +47,8 @@ BLOCK_ROWS = 64
 DWT_GATHER_BYTES = 1 << 20
 
 
-def _rows_per_call(representation: str, window_samples: int) -> int:
+def rows_per_call(representation: str, window_samples: int) -> int:
+    """Segments per transform call of the representation at a window length."""
     if representation != "dwt":
         return BLOCK_ROWS
     gather_row_bytes = window_samples // 2 * len(sym4_bank().h) * 8
@@ -60,18 +61,21 @@ def extract_features(segments: SegmentSet, representation: str) -> np.ndarray:
     window = segments.config.window_samples
     shape = feature_shape(representation, window)
     transform = _TRANSFORMS[representation]
-    rows = _rows_per_call(representation, window)
+    rows = rows_per_call(representation, window)
+    spans = list(row_blocks(len(segments), rows))
+    if len(spans) == 1:   # one call: its result is the output, not copied into it
+        return transform(segments.samples)
     out = np.empty((len(segments), *shape))
 
     def run(lo, hi):
         out[lo:hi] = transform(segments.samples[lo:hi])
 
-    fan_out(run, row_blocks(len(segments), rows), rows)
+    fan_out(run, spans, rows)
     return out
 
 
 __all__ = [
-    "REPRESENTATIONS", "feature_shape", "extract_features",
+    "REPRESENTATIONS", "feature_shape", "rows_per_call", "extract_features",
     "WaveletFilterBank", "dwt_decompose", "dwt_reconstruct", "sym4_bank",
     "cwt_scalogram", "mexican_hat",
     "stft_spectrogram", "stft_transform", "frame_count",

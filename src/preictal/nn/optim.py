@@ -15,6 +15,8 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # two parameter-sized buffers per group, so an update allocates nothing
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def adam_step(named_params, state: AdamState) -> AdamState:
@@ -31,10 +33,18 @@ def adam_step(named_params, state: AdamState) -> AdamState:
         if name not in state.m:
             state.m[name] = np.zeros_like(param)
             state.v[name] = np.zeros_like(param)
+            state.scratch[name] = np.empty_like(param), np.empty_like(param)
         m, v = state.m[name], state.v[name]
+        s, t = state.scratch[name]
+        # param -= lr * (m / c1) / (sqrt(v / c2) + eps), after
+        # m = b1 * m + (1 - b1) * grad and v = b2 * v + (1 - b2) * grad * grad,
+        # rounded in that order
         m *= b1
-        m += (1 - b1) * grad
+        m += np.multiply(grad, 1 - b1, out=s)
         v *= b2
-        v += (1 - b2) * grad * grad
-        param -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(grad, 1 - b2, out=s)
+        v += np.multiply(s, grad, out=s)
+        np.multiply(np.divide(m, c1, out=s), state.lr, out=s)
+        np.add(np.sqrt(np.divide(v, c2, out=t), out=t), state.eps, out=t)
+        param -= np.divide(s, t, out=s)
     return state

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
-from .blocks import row_blocks
+from .blocks import fan_out, row_blocks
 from .cache import (FeatureLayout, dump_features, dump_segments, load_features, load_segments,
                     read_feature_rows, read_features_layout)
 from .config import PipelineConfig, stage_settings
@@ -32,7 +32,8 @@ from .errors import ConfigError, DataError, is_json_number
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
-from .features import apply_normalization, extract_features, feature_shape, fit_normalization
+from .features import (apply_normalization, extract_features, feature_shape, fit_normalization,
+                       rows_per_call)
 from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
@@ -75,17 +76,6 @@ STAGE_IO = {
 STAGES = tuple(STAGE_IO)
 _PRODUCER = {name: stage for stage, io in STAGE_IO.items() for name in io.writes}
 
-# Extract, train and score move features.bin through memory in blocks of
-# about this many bytes, so a long record's feature tensor is never resident
-# whole.  A block is a whole number of score batches: its batch edges are
-# those of scoring the whole tensor at once.
-FEATURE_BLOCK_BYTES = 16 << 20
-
-
-def _block_rows(layout: FeatureLayout) -> int:
-    return max(1, FEATURE_BLOCK_BYTES // (SCORE_BATCH * layout.row_bytes)) * SCORE_BATCH
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -97,13 +87,34 @@ def _decode(data: bytes, what: str) -> str:
         raise DataError(f"{what} file is not UTF-8: {exc}") from exc
 
 
-def _lacks(value, key: str) -> bool:
-    """Whether a JSON value lacks `key`; `a.b` names key `b` of the object at key `a`."""
+_MISSING = object()
+
+
+def _at(value, key: str):
+    """The value at `key` of a JSON value, or _MISSING; `a.b` names key `b`
+    of the object at key `a`."""
     for part in key.split("."):
         if not isinstance(value, dict) or part not in value:
-            return True
+            return _MISSING
         value = value[part]
-    return False
+    return value
+
+
+# checks of the JSON values the stages index
+def _str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _number(value) -> bool:   # finite, and not a bool
+    return is_json_number(value, "float")
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0
 
 
 def _file_sha256(path: Path) -> str | None:
@@ -220,8 +231,9 @@ class Pipeline:
 
     # ---- artifact readers: one per artifact -------------------------------
 
-    def _json(self, name: str, *keys: str) -> dict:
-        """A JSON artifact's top-level object, which must hold `keys` (see `_lacks`)."""
+    def _json(self, name: str, *keys: str, valid=None) -> dict:
+        """A JSON artifact's top-level object, which must hold `keys` (see `_at`)
+        and the keys of `valid`, each with a value its check accepts."""
         try:
             value = json.loads(self._require(name).read_bytes())
         except ValueError as exc:   # not UTF-8, or not JSON
@@ -230,23 +242,20 @@ class Pipeline:
         if not isinstance(value, dict):
             raise DataError(f"artifact {name!r} holds a JSON {type(value).__name__}, not an "
                             f"object; re-run '{_PRODUCER[name]}'")
-        missing = [key for key in keys if _lacks(value, key)]
+        valid = valid or {}
+        missing = [key for key in (*keys, *valid) if _at(value, key) is _MISSING]
         if missing:
             raise DataError(f"artifact {name!r} lacks {', '.join(missing)}; "
+                            f"re-run '{_PRODUCER[name]}'")
+        wrong = [key for key, check in valid.items() if not check(_at(value, key))]
+        if wrong:
+            raise DataError(f"artifact {name!r} holds an invalid {', '.join(wrong)}; "
                             f"re-run '{_PRODUCER[name]}'")
         return value
 
     def _record_meta(self) -> dict:
-        """record.json: a str patient_id and finite positive numbers for the rest."""
-        meta = self._json("record.json", "patient_id", "sampling_rate_hz", "duration_s")
-        wrong = [key for key in ("sampling_rate_hz", "duration_s")
-                 if not (is_json_number(meta[key], "float") and meta[key] > 0)]
-        if not isinstance(meta["patient_id"], str):
-            wrong.insert(0, "patient_id")
-        if wrong:
-            raise DataError(f"artifact 'record.json' holds an invalid {', '.join(wrong)}; "
-                            f"re-run 'convert'")
-        return meta
+        return self._json("record.json", valid={
+            "patient_id": _str, "sampling_rate_hz": _positive, "duration_s": _positive})
 
     def _annotations(self) -> list[SeizureAnnotation]:
         return load_annotations(self._require("annotations.csv").read_text())
@@ -318,15 +327,32 @@ class Pipeline:
                                 postictal_len_s=self.settings.evaluation.postictal_len_s)
         (self.out / "segments.bin").write_bytes(dump_segments(segments))
 
+    # Extract and score fan out once over the whole record (`blocks.fan_out`),
+    # in blocks of one transform call or one score batch, so a long record's
+    # feature tensor is never resident whole: each thread holds one block's
+    # rows.  A block reads or writes features.bin through a handle of its own,
+    # so the threads share no file position.
+
     def stage_extract(self):
         segments, rep = self._segments(), self.cfg.representation
-        layout = FeatureLayout(rep, feature_shape(rep, segments.config.window_samples),
-                               len(segments))
-        with (self.out / "features.bin").open("wb") as f:
+        window = segments.config.window_samples
+        layout = FeatureLayout(rep, feature_shape(rep, window), len(segments))
+        # written aside and renamed once whole: a failed run leaves no features.bin
+        # of the full size with rows never written
+        path = self.out / "features.bin.tmp"
+        with path.open("wb") as f:
             f.write(layout.header)
-            for lo, hi in row_blocks(len(segments), _block_rows(layout)):
-                f.write(dump_features(extract_features(segments.rows(lo, hi), rep), rep,
-                                      header=False))
+            f.truncate(layout.offset + layout.count * layout.row_bytes)
+
+        def run(lo, hi):
+            feats = dump_features(extract_features(segments.rows(lo, hi), rep), rep, header=False)
+            with path.open("r+b") as f:
+                f.seek(layout.offset + lo * layout.row_bytes)
+                f.write(feats)
+
+        rows = rows_per_call(rep, window)
+        fan_out(run, row_blocks(len(segments), rows), rows)
+        os.replace(path, self.out / "features.bin")
 
     def stage_train(self):
         segments, plan = self._segments(), self.settings.train
@@ -357,17 +383,24 @@ class Pipeline:
         }))
 
     def stage_score(self):
-        with self._require("features.bin").open("rb") as f:
+        path = self._require("features.bin")
+        with path.open("rb") as f:
             layout = self._features_layout(f)
             n_train = self._n_train(layout)
             # as train fitted them
             stats = fit_normalization(self._feature_rows(f, layout, 0, n_train))
-            trained = load_trained(self._require("model.params").read_bytes(),
-                                   self._json("model.json", *MODEL_KEYS), stats)
-            # a one-row last block would be a one-row score batch: it joins the block before
-            all_errors = np.concatenate([
-                score(trained, apply_normalization(self._feature_rows(f, layout, lo, hi), stats))
-                for lo, hi in row_blocks(layout.count, _block_rows(layout), min_rows=2)])
+        trained = load_trained(self._require("model.params").read_bytes(),
+                               self._json("model.json", *MODEL_KEYS), stats)
+
+        def run(lo, hi):
+            with path.open("rb") as f:
+                rows = self._feature_rows(f, layout, lo, hi)
+            return score(trained, apply_normalization(rows, stats))
+
+        # the batches of scoring the whole tensor at once: a one-row tail joins
+        # the batch before it
+        all_errors = np.concatenate(
+            fan_out(run, row_blocks(layout.count, SCORE_BATCH, min_rows=2), SCORE_BATCH))
         arrays = {
             "train_errors": all_errors[:n_train],
             "test_indices": np.arange(n_train, layout.count, dtype=np.float64),
@@ -428,9 +461,10 @@ class Pipeline:
 
     def stage_report(self):
         segments, anns = self._segments(), self._annotations()
-        evaluation = self._json("evaluation.json", "patient_id", "metrics", "confusion",
-                                "counting_note", "threshold.mu", "threshold.sigma",
-                                "threshold.k", "eval_config.preictal_len_s")
+        evaluation = self._json("evaluation.json", "counting_note", valid={
+            "patient_id": _str, "metrics": _object, "confusion": _object,
+            "threshold.mu": _number, "threshold.sigma": _number, "threshold.k": _number,
+            "eval_config.preictal_len_s": _number})
         _, test_idx, test_err = self._load_scores()
         patient_id = evaluation["patient_id"]
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from preictal.nn import (AdamState, Dense, adam_step, dump_arrays, load_arrays,
                          make_rng, mse_loss)
@@ -73,3 +74,23 @@ def test_array_dump_roundtrip():
     for name in arrays:
         assert np.array_equal(back[name], arrays[name])
         assert back[name].shape == arrays[name].shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_update_matches_the_plain_expression_bytewise(dtype):
+    # the update in out= buffers rounds as the textbook expression does
+    rng = np.random.default_rng(4)
+    p = rng.normal(size=(7, 5)).astype(dtype)
+    ref_p, ref_m, ref_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    state = AdamState()
+    b1, b2 = state.beta1, state.beta2
+    for step in range(1, 7):
+        g = rng.normal(size=p.shape).astype(dtype)
+        adam_step([("p", p, g)], state)
+        ref_m = b1 * ref_m + (1 - b1) * g
+        ref_v = b2 * ref_v + (1 - b2) * g * g
+        ref_p -= (state.lr * (ref_m / (1.0 - b1 ** step))
+                  / (np.sqrt(ref_v / (1.0 - b2 ** step)) + state.eps))
+        assert p.dtype == dtype
+        assert (p.tobytes(), state.m["p"].tobytes(), state.v["p"].tobytes()) == \
+            (ref_p.tobytes(), ref_m.tobytes(), ref_v.tobytes()), step

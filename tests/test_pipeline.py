@@ -1,15 +1,20 @@
 import json
+import os
 import re
 import shutil
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from preictal import blocks
+from preictal.cache import load_segments, read_feature_rows
 from preictal.cli import main
 from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
+from preictal.models.training import SCORE_BATCH
 from preictal.ingest import serialize_annotations, serialize_csv
 from preictal.nn import dump_arrays, load_arrays
 from preictal import pipeline
@@ -207,17 +212,90 @@ def test_each_stage_runs_from_its_declared_inputs(completed_run, tmp_path):
             assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage, name)
 
 
-def test_feature_blocks_of_one_batch_change_no_byte(completed_run, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def tail_run(tmp_path_factory, event_record):
+    """A completed run on the first 705 s of the event record: eleven full
+    64-row transform calls and a one-row tail; 21 score batches of 32 rows
+    and one of 33, a one-row tail joined to the batch before it."""
+    root = tmp_path_factory.mktemp("tail")
+    fs = event_record.sampling_rate_hz
+    record = replace(event_record, samples=event_record.samples[:705 * fs])
+    (root / "record.csv").write_text(serialize_csv(record))
+    (root / "annotations.csv").write_text(serialize_annotations(record.annotations))
+    cfg = config_for(root, root / "record.csv", root / "annotations.csv", root / "run")
+    run("all", cfg)
+    assert len(load_segments((root / "run" / "segments.bin").read_bytes())) == 705
+    return root / "run", cfg
+
+
+def test_stage_bytes_do_not_depend_on_cpu_count(tail_run, tmp_path, monkeypatch):
+    out, cfg = tail_run
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
+        for stage in ("extract", "train", "score"):
+            alone = tmp_path / f"{stage}-{cpus}"
+            alone.mkdir()
+            for name in STAGE_IO[stage].reads:
+                shutil.copy(out / name, alone / name)
+            Pipeline(replace(cfg, out=str(alone))).run(stage)
+            for name in STAGE_IO[stage].writes:
+                assert (alone / name).read_bytes() == (out / name).read_bytes(), \
+                    (cpus, stage, name)
+
+
+def test_score_error_on_a_pool_thread_exits_3(tail_run, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(tail_run[0], out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["stages"]["score"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEMPLATE.format(record=tail_run[1].record,
+                                             annotations=tail_run[1].annotations, out=out))
+    # the last score batch runs on a pool thread, and only it fails: features.bin
+    # loses its last row after score has checked its layout
+    last = len(list(blocks.row_blocks(705, SCORE_BATCH, min_rows=2))) - 1
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 2 if last % 2 else 3)
+    features_layout = Pipeline._features_layout
+
+    def shrink(self, f):
+        layout = features_layout(self, f)
+        os.truncate(self.out / "features.bin", os.path.getsize(f.name) - layout.row_bytes)
+        return layout
+
+    raised_on = []
+
+    def read_rows(*args):
+        try:
+            return read_feature_rows(*args)
+        except DataError:
+            raised_on.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(Pipeline, "_features_layout", shrink)
+    monkeypatch.setattr(pipeline, "read_feature_rows", read_rows)
+    assert main(["score", "--config", str(config)]) == 3
+    assert "shrank" in capsys.readouterr().err
+    assert len(raised_on) == 1 and raised_on[0] != threading.main_thread().name
+    assert "score" not in json.loads((out / "manifest.json").read_text())["stages"]
+
+
+def test_failed_extract_leaves_no_features_file(completed_run, tmp_path, monkeypatch):
     out, cfg = completed_run
-    monkeypatch.setattr(pipeline, "FEATURE_BLOCK_BYTES", 1)   # each block one score batch
-    for stage in ("extract", "train", "score"):
-        alone = tmp_path / stage
-        alone.mkdir()
-        for name in STAGE_IO[stage].reads:
-            shutil.copy(out / name, alone / name)
-        Pipeline(replace(cfg, out=str(alone))).run(stage)
-        for name in STAGE_IO[stage].writes:
-            assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage, name)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(out / "segments.bin", alone / "segments.bin")
+    extract_features = pipeline.extract_features
+
+    def fail_after_first(segments, representation):
+        if segments.start_samples[0] > 0:
+            raise DataError("extraction failed")
+        return extract_features(segments, representation)
+
+    monkeypatch.setattr(pipeline, "extract_features", fail_after_first)
+    with pytest.raises(DataError, match="extraction failed"):
+        Pipeline(replace(cfg, out=str(alone))).run("extract")
+    assert not (alone / "features.bin").exists()
 
 
 def _shift_test_indices(data: bytes) -> bytes:
@@ -264,9 +342,16 @@ def _without(key):
 
 
 def _with(key, value):
-    """An edit of a JSON object's text that sets `key` to `value`."""
+    """An edit of a JSON object's text that sets `key` to `value`; `a.b`
+    names key `b` of the object at key `a`."""
     def edit(text):
-        return json.dumps({**json.loads(text), key: value})
+        obj = json.loads(text)
+        *outer, last = key.split(".")
+        inner = obj
+        for part in outer:
+            inner = inner[part]
+        inner[last] = value
+        return json.dumps(obj)
     return edit
 
 
@@ -287,6 +372,10 @@ def _with(key, value):
       for threshold, eval_config in [("{}", '{"preictal_len_s": 60}'),
                                      ('{"mu": 0, "sigma": 1, "k": 3}', "{}"),
                                      ("[]", "null")]],
+    *[("evaluation.json", "report", _with(key, value))   # wrongly typed values report indexes
+      for key, value in [("patient_id", 7), ("metrics", 3), ("confusion", []),
+                         ("threshold.mu", "x"), ("threshold.sigma", float("nan")),
+                         ("threshold.k", True), ("eval_config.preictal_len_s", None)]],
 ])
 def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, tmp_path,
                                                   capsys, name, stage, text):
