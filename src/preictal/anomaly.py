@@ -2,7 +2,6 @@
 tau = mu + k*sigma statistical threshold, and alarm-event extraction."""
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +135,7 @@ def export_csv(raw: ErrorSeries, smoothed: ErrorSeries, flags: np.ndarray) -> st
     """`segment_index,raw_error,smoothed_error,anomaly_flag` rows."""
     if not (len(raw) == len(smoothed) == len(flags)):
         raise DataError("raw, smoothed and flags differ in length")
-    buf = io.StringIO()
-    buf.write("segment_index,raw_error,smoothed_error,anomaly_flag\n")
-    for idx, r, s, f in zip(raw.indices, raw.errors, smoothed.errors, flags):
-        buf.write(f"{idx},{r:.17g},{s:.17g},{int(f)}\n")
-    return buf.getvalue()
+    rows = zip(raw.indices.tolist(), raw.errors.tolist(), smoothed.errors.tolist(),
+               np.asarray(flags, dtype=np.int8).tolist())
+    return "segment_index,raw_error,smoothed_error,anomaly_flag\n" + "".join(
+        [f"{idx},{r:.17g},{s:.17g},{f}\n" for idx, r, s, f in rows])

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features import REPRESENTATIONS
 from .nn.params_io import MAX_NDIM, check_shape, unpack_header
-from .preprocess import Phase, SegmentationConfig, SegmentSet
+from .preprocess import Phase, SegmentationConfig, SegmentIndex, SegmentSet
 
 SEGMENTS_MAGIC = b"ESG1"
 FEATURES_MAGIC = b"FTR1"
@@ -41,7 +41,9 @@ def dump_segments(segments: SegmentSet) -> bytes:
     return b"".join((head, body))
 
 
-def load_segments(data: bytes) -> SegmentSet:
+def _segment_body(data: bytes) -> tuple[np.ndarray, SegmentationConfig]:
+    """The checked ESG1 chunks of data, as a structured view, and the
+    segmentation they were cut with."""
     if data[:4] != SEGMENTS_MAGIC:
         raise DataError(f"bad segment-cache magic {data[:4]!r}")
     (version, fs, window, hop, count), pos = unpack_header("<IIIII", data, 4, "segment cache")
@@ -62,6 +64,18 @@ def load_segments(data: bytes) -> SegmentSet:
     body = np.frombuffer(data, _segment_dtype(window), count=count, offset=pos)
     if np.any(body["phase"] > max(Phase)):
         raise DataError(f"segment cache holds a phase outside 0..{max(Phase):d}")
+    return body, cfg
+
+
+def load_segment_index(data: bytes) -> SegmentIndex:
+    """The start samples, phases and segmentation of ESG1 bytes, with every
+    check of `load_segments`; the samples are never copied."""
+    body, cfg = _segment_body(data)
+    return SegmentIndex(body["start"], body["phase"], cfg)
+
+
+def load_segments(data: bytes) -> SegmentSet:
+    body, cfg = _segment_body(data)
     return SegmentSet(body["samples"], body["start"], body["phase"], cfg)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from ..preprocess import Phase, SegmentSet
+from ..preprocess import Phase, SegmentIndex
 from .training import TrainPlan
 
 BASELINE_CAP_S = 30 * 60          # never train on more than 30 minutes
@@ -19,7 +19,7 @@ def baseline_cap_s(record_duration_s: float) -> float:
     return min(BASELINE_CAP_S, BASELINE_CAP_FRACTION * record_duration_s)
 
 
-def select_baseline(segments: SegmentSet, record_duration_s: float,
+def select_baseline(segments: SegmentIndex, record_duration_s: float,
                     min_segments: int = TrainPlan.min_baseline_segments
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Split segment indices into (train, test).

@@ -6,6 +6,8 @@ records a cache key and the sha256 of each output in manifest.json.  The key
 hashes only what the stage reads (STAGE_IO), so a stage re-runs only when an
 output is missing or changed, or something it reads changed.  A stage run on
 its own refuses an input that differs from the sha256 its producer recorded.
+A re-run hashes the recorded artifacts it checks once each, concurrently,
+before the first stage.
 With a fixed config and seed every artifact byte is reproducible, so deleting
 an intermediate and re-running `all` regenerates it bit-identically.
 """
@@ -25,8 +27,8 @@ from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .blocks import fan_out, row_blocks
-from .cache import (FeatureLayout, dump_features, dump_segments, load_features, load_segments,
-                    read_feature_rows, read_features_layout)
+from .cache import (FeatureLayout, dump_features, dump_segments, load_features,
+                    load_segment_index, load_segments, read_feature_rows, read_features_layout)
 from .config import PipelineConfig, stage_settings
 from .errors import ConfigError, DataError, is_json_number
 from .evaluation import (classify_alarm_intervals, count_confusion,
@@ -40,7 +42,7 @@ from .ingest.records import SeizureAnnotation
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
 from .models.training import MODEL_KEYS, SCORE_BATCH, score
 from .nn import dump_arrays, load_arrays
-from .preprocess import SegmentSet, label_phases, lowpass, segment
+from .preprocess import SegmentIndex, SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
 
 
@@ -117,13 +119,21 @@ def _positive(value) -> bool:
     return _number(value) and value > 0
 
 
+def _recorded(manifest: dict, name: str):
+    """The sha256 of an artifact its producer recorded in the manifest, or None."""
+    return manifest["stages"].get(_PRODUCER[name], {}).get("outputs", {}).get(name)
+
+
 def _file_sha256(path: Path) -> str | None:
+    """The file's sha256, read through a buffer of this call's own, so calls
+    on several threads share nothing."""
     if not path.exists():
         return None
-    h = hashlib.sha256()
+    h, buf = hashlib.sha256(), bytearray(1 << 20)
+    view = memoryview(buf)
     with path.open("rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
+        while n := f.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -134,6 +144,7 @@ class Pipeline:
         self.out = Path(cfg.out)
         self.manifest_path = self.out / "manifest.json"
         self._inputs: list[bytes] = []   # read for the convert key, parsed by stage_convert
+        self._hashes: dict[str, str | None] = {}   # each artifact's sha256 as the file is now
 
     # ---- manifest / caching ----------------------------------------------
 
@@ -167,30 +178,57 @@ class Pipeline:
                     raise DataError(f"cannot read {what} file {name}: {exc}") from exc
         return inputs
 
-    def _input_digest(self, name: str, manifest: dict,
-                      known: dict[str, str | None]) -> str | None:
-        """An input's sha256; one not yet checked in this run must still be the
-        bytes its producer recorded in the manifest."""
-        if name not in known:
-            known[name] = _file_sha256(self.out / name)
-            producer = _PRODUCER[name]
-            recorded = manifest["stages"].get(producer, {}).get("outputs", {}).get(name)
-            if known[name] and recorded and known[name] != recorded:
-                raise DataError(f"artifact {name!r} changed after the '{producer}' stage "
-                                f"wrote it; re-run '{producer}'")
-        return known[name]
+    def _digest(self, name: str) -> str | None:
+        """An artifact's sha256 as the file is now, hashed once per run."""
+        if name not in self._hashes:
+            self._hashes[name] = _file_sha256(self.out / name)
+        return self._hashes[name]
 
-    def _stage_key(self, stage: str, manifest: dict, known: dict[str, str | None]) -> str:
+    def _input_digest(self, name: str, manifest: dict) -> str | None:
+        """An input's sha256, which must still be the bytes its producer
+        recorded in the manifest."""
+        producer, recorded = _PRODUCER[name], _recorded(manifest, name)
+        digest = self._digest(name)
+        if digest and recorded and digest != recorded:
+            raise DataError(f"artifact {name!r} changed after the '{producer}' stage "
+                            f"wrote it; re-run '{producer}'")
+        return digest
+
+    def _stage_key(self, stage: str, input_digests: list) -> str:
         io = STAGE_IO[stage]
         inputs = [__version__, stage, {f: getattr(self.cfg, f) for f in io.fields},
-                  [self._input_digest(name, manifest, known) for name in io.reads]]
+                  input_digests]
         if stage == "convert":
             self._inputs = self._read_inputs()
             inputs.append([hashlib.sha256(data).hexdigest() for data in self._inputs])
         return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
     def _digests(self, stage: str) -> dict[str, str | None]:
-        return {name: _file_sha256(self.out / name) for name in STAGE_IO[stage].writes}
+        return {name: self._digest(name) for name in STAGE_IO[stage].writes}
+
+    def _hash_recorded(self, manifest: dict, names: list[str]):
+        """Hash, concurrently and largest first, each artifact that the
+        manifest records and that stages `names` read or write.
+
+        A stage whose key, from the config and the recorded input digests,
+        is not its recorded key re-runs whatever its files hold: its outputs,
+        and those of every stage reading them, are left out and hashed once
+        written.  Convert's key also covers the record file, which only the
+        stage loop reads, so convert counts as cached here."""
+        fresh: set[str] = set()   # artifacts this run is bound to write anew
+        for stage in names:
+            io = STAGE_IO[stage]
+            if stage != "convert" and (
+                    fresh.intersection(io.reads)
+                    or manifest["stages"].get(stage, {}).get("key") != self._stage_key(
+                        stage, [_recorded(manifest, name) for name in io.reads])):
+                fresh.update(io.writes)
+        wanted = {name for stage in names for name in STAGE_IO[stage].reads + STAGE_IO[stage].writes
+                  if _recorded(manifest, name) and name not in fresh}
+        paths = sorted((self.out / name for name in wanted),
+                       key=lambda path: path.stat().st_size if path.exists() else 0, reverse=True)
+        digests = fan_out(lambda lo, hi: _file_sha256(paths[lo]), row_blocks(len(paths), 1), 1)
+        self._hashes = {path.name: digest for path, digest in zip(paths, digests)}
 
     def _require(self, name: str) -> Path:
         path = self.out / name
@@ -210,14 +248,17 @@ class Pipeline:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use output directory {self.out}: {exc}") from exc
-        manifest, known = self._load_manifest(), {}   # known: digests checked in this run
+        manifest = self._load_manifest()
+        self._hash_recorded(manifest, names)
         for name in names:
-            key = self._stage_key(name, manifest, known)
+            io = STAGE_IO[name]
+            key = self._stage_key(name, [self._input_digest(read, manifest) for read in io.reads])
             entry = manifest["stages"].get(name, {})
             if entry.get("key") == key and entry.get("outputs") == self._digests(name):
-                known.update(entry["outputs"])
                 self._inputs = []
                 continue
+            for written in io.writes:
+                self._hashes.pop(written, None)
             t0 = time.perf_counter()
             getattr(self, f"stage_{name}")()
             manifest["stages"][name] = {
@@ -225,7 +266,6 @@ class Pipeline:
                 "wall_clock_s": round(time.perf_counter() - t0, 3),
                 "outputs": self._digests(name),
             }
-            known.update(manifest["stages"][name]["outputs"])
             self._save_manifest(manifest)
         return manifest
 
@@ -262,6 +302,9 @@ class Pipeline:
 
     def _segments(self) -> SegmentSet:
         return load_segments(self._require("segments.bin").read_bytes())
+
+    def _segment_index(self) -> SegmentIndex:
+        return load_segment_index(self._require("segments.bin").read_bytes())
 
     def _features_layout(self, f) -> FeatureLayout:
         """The layout of features.bin, open for reading in f."""
@@ -355,7 +398,7 @@ class Pipeline:
         os.replace(path, self.out / "features.bin")
 
     def stage_train(self):
-        segments, plan = self._segments(), self.settings.train
+        segments, plan = self._segment_index(), self.settings.train
         train_idx, test_idx = select_baseline(segments, self._record_meta()["duration_s"],
                                               min_segments=plan.min_baseline_segments)
         with self._require("features.bin").open("rb") as f:
@@ -409,7 +452,7 @@ class Pipeline:
         (self.out / "scores.params").write_bytes(dump_arrays(arrays, "scores"))
 
     def stage_evaluate(self):
-        segments, meta, anns = self._segments(), self._record_meta(), self._annotations()
+        segments, meta, anns = self._segment_index(), self._record_meta(), self._annotations()
         train_err, test_idx, test_err = self._load_scores()
         eval_cfg = replace(self.settings.evaluation, preictal_len_s=self._preictal_len_s(meta))
         w = self.cfg.smoothing_w
@@ -460,7 +503,7 @@ class Pipeline:
         }))
 
     def stage_report(self):
-        segments, anns = self._segments(), self._annotations()
+        segments, anns = self._segment_index(), self._annotations()
         evaluation = self._json("evaluation.json", "counting_note", valid={
             "patient_id": _str, "metrics": _object, "confusion": _object,
             "threshold.mu": _number, "threshold.sigma": _number, "threshold.k": _number,

@@ -67,34 +67,46 @@ class SegmentationConfig:
         return (self.window_s - self.overlap_s) * self.sampling_rate_hz
 
 
-class SegmentSet:
+class SegmentIndex:
+    """Where each segment of a record starts, and its phase: what the stages
+    after feature extraction read of a segment set."""
+
+    def __init__(self, start_samples: np.ndarray, phases: np.ndarray,
+                 config: SegmentationConfig):
+        self.start_samples = np.ascontiguousarray(start_samples, dtype=np.int64)
+        self.phases = np.ascontiguousarray(phases, dtype=np.int8)
+        self.config = config
+        if len(self.start_samples) != len(self.phases):
+            raise DataError("segment arrays disagree on count")
+        self.start_samples.flags.writeable = False
+        self.phases.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.start_samples)
+
+    def start_times_s(self) -> np.ndarray:
+        return self.start_samples / self.config.sampling_rate_hz
+
+
+class SegmentSet(SegmentIndex):
     """Fixed-length windows cut from one record, stored as a (count, window) array."""
 
     def __init__(self, samples: np.ndarray, start_samples: np.ndarray,
                  phases: np.ndarray, config: SegmentationConfig):
+        super().__init__(start_samples, phases, config)
         self.samples = np.ascontiguousarray(samples, dtype=np.float64)
-        self.start_samples = np.ascontiguousarray(start_samples, dtype=np.int64)
-        self.phases = np.ascontiguousarray(phases, dtype=np.int8)
-        self.config = config
-        if not (len(self.samples) == len(self.start_samples) == len(self.phases)):
+        if len(self.samples) != len(self):
             raise DataError("segment arrays disagree on count")
         if self.samples.ndim != 2 or self.samples.shape[1] != config.window_samples:
             raise DataError(
                 f"segment width {self.samples.shape} does not match window_samples {config.window_samples}"
             )
-        for arr in (self.samples, self.start_samples, self.phases):
-            arr.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.samples)
+        self.samples.flags.writeable = False
 
     def rows(self, lo: int, hi: int) -> "SegmentSet":
         """Segments lo..hi-1 as a set of their own, viewing these arrays."""
         return SegmentSet(self.samples[lo:hi], self.start_samples[lo:hi],
                           self.phases[lo:hi], self.config)
-
-    def start_times_s(self) -> np.ndarray:
-        return self.start_samples / self.config.sampling_rate_hz
 
     def with_phases(self, phases: np.ndarray) -> "SegmentSet":
         return SegmentSet(self.samples, self.start_samples, phases, self.config)

@@ -26,15 +26,18 @@ class _Plot:
         self.x0, self.x1 = MARGIN_L, WIDTH - MARGIN_R
         self.y0, self.y1 = HEIGHT - MARGIN_B, MARGIN_T
 
-    def x(self, t: float) -> float:
+    # x and y map a time or value, or an array of them
+
+    def x(self, t):
         return self.x0 + (self.x1 - self.x0) * (t / self.t_max)
 
-    def y(self, v: float) -> float:
-        v = min(max(v, 0.0), self.y_max)
+    def y(self, v):
+        v = np.minimum(np.maximum(v, 0.0), self.y_max)
         return self.y0 + (self.y1 - self.y0) * (v / self.y_max)
 
     def polyline(self, ts: np.ndarray, vs: np.ndarray, cls: str, color: str, width: float) -> str:
-        pts = " ".join(f"{_fmt(self.x(t))},{_fmt(self.y(v))}" for t, v in zip(ts, vs))
+        pts = " ".join([f"{x:.2f},{y:.2f}"
+                        for x, y in zip(self.x(ts).tolist(), self.y(vs).tolist())])
         return (f'<polyline class="{cls}" fill="none" stroke="{color}" '
                 f'stroke-width="{width}" points="{pts}"/>')
 

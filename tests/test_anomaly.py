@@ -146,3 +146,14 @@ def test_export_csv_shape():
     assert len(lines) == 4
     assert lines[2].startswith("11,1.5,")
     assert lines[2].endswith(",1")
+
+
+def test_export_csv_matches_row_by_row_formatting():
+    rng = np.random.default_rng(3)
+    raw = series_from_errors(rng.exponential(size=300), indices=np.arange(40, 340))
+    smoothed = smooth(raw, w=9)
+    flags = smoothed.errors > 1.0
+    rows = zip(raw.indices, raw.errors, smoothed.errors, flags)
+    assert export_csv(raw, smoothed, flags) == (
+        "segment_index,raw_error,smoothed_error,anomaly_flag\n"
+        + "".join(f"{i},{r:.17g},{s:.17g},{int(f)}\n" for i, r, s, f in rows))

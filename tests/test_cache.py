@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preictal.cache import (dump_features, dump_segments, load_features,
-                            load_segments)
+                            load_segment_index, load_segments)
 from preictal.errors import DataError
 from preictal.ingest import EcgRecord
 from preictal.nn.params_io import dump_arrays, load_arrays
@@ -29,6 +29,17 @@ def test_segment_roundtrip():
     assert np.array_equal(back.start_samples, segs.start_samples)
     assert np.array_equal(back.phases, segs.phases)
     assert back.config == segs.config
+
+
+def test_segment_index_reads_starts_phases_and_config():
+    segs = make_segments(overlap_s=1)
+    index = load_segment_index(dump_segments(segs))
+    assert not hasattr(index, "samples")
+    assert len(index) == len(segs)
+    assert np.array_equal(index.start_samples, segs.start_samples)
+    assert np.array_equal(index.phases, segs.phases)
+    assert np.array_equal(index.start_times_s(), segs.start_times_s())
+    assert index.config == segs.config
 
 
 def test_segment_bad_magic():
@@ -77,6 +88,7 @@ def _small_segments():
 # one valid blob per loader; the fuzz tests below cut, flip and replace its bytes
 VALID_BLOBS = {
     load_segments: dump_segments(_small_segments()),
+    load_segment_index: dump_segments(_small_segments()),
     load_features: dump_features(np.arange(24.0).reshape(2, 3, 4), "scalogram"),
     load_arrays: dump_arrays({"w": np.ones((2, 3)), "b": np.zeros(3)}, "lstm_ae:dwt:32x16"),
 }
@@ -90,12 +102,18 @@ def _only_data_error(load, blob: bytes):
         pass
 
 
+MALFORMED_SEGMENT_HEADERS = [
+    b"ESG1\x01\x00",
+    b"ESG1" + struct.pack("<IIIII", 1, 0, 512, 512, 0),      # 0 Hz
+    b"ESG1" + struct.pack("<IIIII", 1, 512, 1024, 1024, 0),  # 2 s window
+]
+
+
 @pytest.mark.parametrize("load, blob", [
-    (load_segments, b"ESG1\x01\x00"),
+    *[(load, blob) for load in (load_segments, load_segment_index)
+      for blob in MALFORMED_SEGMENT_HEADERS],
     (load_features, b"FTR1\x01\x00\x00"),
     (load_arrays, b"MDL1\x01\x00\x00\x00\x03"),
-    (load_segments, b"ESG1" + struct.pack("<IIIII", 1, 0, 512, 512, 0)),     # 0 Hz
-    (load_segments, b"ESG1" + struct.pack("<IIIII", 1, 512, 1024, 1024, 0)),  # 2 s window
     (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"\xff"),              # tag not UTF-8
     # a zero axis next to axes whose product overflows numpy's size limit
     (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"t" + struct.pack("<IH", 1, 1)
@@ -107,24 +125,55 @@ def test_malformed_header_is_data_error(load, blob):
         load(blob)
 
 
+# the fuzz cases: each makes a blob from a valid one and hypothesis's data
+def _after_magic(blob: bytes, data) -> bytes:
+    return blob[:4] + data.draw(st.binary(max_size=120))
+
+
+def _truncated(blob: bytes, data) -> bytes:
+    return blob[:data.draw(st.integers(0, len(blob)))]
+
+
+def _byte_flipped(blob: bytes, data) -> bytes:
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob[i] ^= data.draw(st.integers(1, 255))
+    return bytes(blob)
+
+
 @settings(max_examples=300, deadline=None)
-@given(LOADERS, st.binary(max_size=120))
-def test_arbitrary_bytes_after_magic(load, tail):
-    _only_data_error(load, VALID_BLOBS[load][:4] + tail)
+@given(LOADERS, st.data())
+def test_arbitrary_bytes_after_magic(load, data):
+    _only_data_error(load, _after_magic(VALID_BLOBS[load], data))
 
 
 @settings(max_examples=300, deadline=None)
 @given(LOADERS, st.data())
 def test_truncated_blob(load, data):
-    blob = VALID_BLOBS[load]
-    _only_data_error(load, blob[:data.draw(st.integers(0, len(blob)))])
+    _only_data_error(load, _truncated(VALID_BLOBS[load], data))
 
 
 @settings(max_examples=500, deadline=None)
 @given(LOADERS, st.data())
 def test_byte_flipped_blob(load, data):
-    blob = bytearray(VALID_BLOBS[load])
-    for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, len(blob) - 1))
-        blob[i] ^= data.draw(st.integers(1, 255))
-    _only_data_error(load, bytes(blob))
+    _only_data_error(load, _byte_flipped(VALID_BLOBS[load], data))
+
+
+def _segments_read(load, blob: bytes):
+    """What load makes of blob: the index's arrays and config, or None when
+    it raises DataError."""
+    try:
+        got = load(blob)
+    except DataError:
+        return None
+    return got.start_samples.tolist(), got.phases.tolist(), got.config
+
+
+# the malformed headers above are refused by both readers
+@pytest.mark.parametrize("fuzz", [_after_magic, _truncated, _byte_flipped])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_index_reader_accepts_what_load_segments_accepts(fuzz, data):
+    blob = fuzz(VALID_BLOBS[load_segments], data)
+    assert _segments_read(load_segment_index, blob) == _segments_read(load_segments, blob)

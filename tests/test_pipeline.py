@@ -298,6 +298,39 @@ def test_failed_extract_leaves_no_features_file(completed_run, tmp_path, monkeyp
     assert not (alone / "features.bin").exists()
 
 
+def test_warm_rerun_hashes_each_artifact_at_most_once(completed_run, fixture_files,
+                                                    tmp_path, monkeypatch):
+    root, record, annotations = fixture_files
+    out = tmp_path / "out"
+    shutil.copytree(completed_run[0], out)
+    before = json.loads((out / "manifest.json").read_text())["stages"]
+    hashed, threads = [], set()
+    file_sha256 = pipeline._file_sha256
+
+    def counting(path):
+        hashed.append(path.name)
+        threads.add(threading.current_thread().name)
+        return file_sha256(path)
+
+    monkeypatch.setattr(pipeline, "_file_sha256", counting)
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 2)
+    text = re.sub(r"^k = .*\n", "", CONFIG_TEMPLATE, flags=re.M) + "k = 3\n"
+    after = run("all", validate_config(text.format(record=record, annotations=annotations,
+                                                   out=out)))["stages"]
+    assert sorted(hashed) == sorted(set(hashed))
+    assert set(hashed) == {name for io in STAGE_IO.values() for name in io.writes}
+    assert len(threads) == 2   # the cached artifacts were hashed concurrently
+    # evaluate re-ran and wrote new bytes, hashed only once written
+    assert after["evaluate"]["outputs"]["evaluation.json"] != \
+        before["evaluate"]["outputs"]["evaluation.json"]
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    """The same bytes but the last, a sample or feature value: a same-size edit
+    no reader sees."""
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
 def _shift_test_indices(data: bytes) -> bytes:
     tag, arrays = load_arrays(data)
     return dump_arrays(arrays | {"test_indices": arrays["test_indices"] + 1e6}, tag)
@@ -310,6 +343,9 @@ def _shift_test_indices(data: bytes) -> bytes:
     ("record.npy", "preprocess", "convert", lambda data: data[:100]),
     ("scores.params", "evaluate", "score", lambda data: dump_arrays({}, "scores")),
     ("scores.params", "evaluate", "score", _shift_test_indices),
+    ("segments.bin", "extract", "preprocess", _flip_last_byte),
+    ("segments.bin", "evaluate", "preprocess", _flip_last_byte),   # reads only the index
+    ("features.bin", "score", "extract", _flip_last_byte),
 ])
 def test_stage_alone_refuses_edited_input(completed_run, fixture_files, tmp_path, capsys,
                                           name, stage, producer, edit):
