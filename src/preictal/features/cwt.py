@@ -1,10 +1,19 @@
-"""Mexican-hat continuous wavelet transform and its squared-energy scalogram."""
+"""Mexican-hat continuous wavelet transform and its squared-energy scalogram.
+
+Each scale's row is the 'same'-mode convolution `scipy.signal.fftconvolve`
+computes, done by the same FFTs: the signal's and the kernel's spectra at
+next_fast_len(n + 16a), multiplied, transformed back and centered.  That length
+never decreases as the scale grows, so the signal is transformed once per
+length (45 lengths for 128 scales at 512 samples) rather than once per scale,
+and each kernel's spectrum is cached per (scale, length); the bytes are those
+of one `fftconvolve` call per scale.
+"""
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from ..errors import DataError
 
@@ -28,17 +37,34 @@ def _kernel(scale: int) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=N_SCALES)
+def _kernel_spectrum(scale: int, n_fft: int) -> np.ndarray:
+    spectrum = fft.rfft(_kernel(scale), n_fft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def cwt_scalogram(segments: np.ndarray) -> np.ndarray:
     """Energy E(a, b) = C(a, b)^2 of each segment along the last axis: integer
     scales a = 1..128 as rows, translations b strided by 4 as columns; shape
     (..., 128, ceil(N/4)).  Row a of C convolves the signal with the unit-step-
     sampled, 1/sqrt(a)-normalized kernel, zero-padded at the edges."""
     x = np.asarray(segments, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] == 0:
+    n = x.shape[-1] if x.ndim else 0
+    if n == 0:
         raise DataError("cwt expects non-empty segments along the last axis")
-    out = np.empty((*x.shape[:-1], N_SCALES, -(-x.shape[-1] // TIME_STRIDE)))
+    out = np.empty((*x.shape[:-1], N_SCALES, -(-n // TIME_STRIDE)))
+    n_fft = spectrum = None
     for a in range(1, N_SCALES + 1):
-        kernel = _kernel(a).reshape((1,) * (x.ndim - 1) + (-1,))
-        c = fftconvolve(x, kernel, mode="same", axes=-1)
+        half = KERNEL_HALF_WIDTH * a
+        if n == 1:
+            # fftconvolve skips the FFT of a length-1 axis and multiplies by
+            # the kernel's center sample
+            c = x * _kernel(a)[half]
+        else:
+            length = fft.next_fast_len(n + 2 * half, True)
+            if length != n_fft:
+                n_fft, spectrum = length, fft.rfft(x, length)
+            c = fft.irfft(spectrum * _kernel_spectrum(a, n_fft), n_fft)[..., half:half + n]
         out[..., a - 1, :] = np.square(c[..., ::TIME_STRIDE])
     return out

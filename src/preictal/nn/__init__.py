@@ -16,6 +16,12 @@ than the activations in flight, and a backward after it raises DataError.
 Since an inference forward keeps no state, threads may share one model for
 scoring.
 
+`MultiHeadAttention` fans its core (scores, softmax and their gradients) out
+over the CPUs in fixed blocks of batch rows (`preictal.blocks.fan_out`),
+with the bytes of one whole-batch call at any CPU count.  Only one fan-out
+runs at a time, so inside scoring's own fan-out the core runs in a plain
+loop on the scoring thread.
+
 `Layer.astype` lays a model's parameters out as views into one contiguous
 array (`param_buffer`) and its gradients as views into another
 (`grad_buffer`), so training updates them with one `adam_step` triple.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit as sigmoid
 
+from ..blocks import fan_out, row_blocks
 from ..errors import DataError
 
 
@@ -165,14 +166,20 @@ class Dense(Layer):
 
 
 class Relu(Layer):
+    """x where x > 0, else +0.0 (NaN and -0.0 included); the bits of
+    np.where(x > 0, x, 0.0), forward and backward."""
+
     def forward(self, x, training=False):
-        mask = x > 0
-        self._keep(training, mask)
-        return np.where(mask, x, 0.0)
+        self._keep(training, x > 0)
+        out = np.fmax(x, 0.0)
+        out += 0.0   # fmax may keep -0.0; -0.0 + 0.0 is +0.0
+        return out
 
     def backward(self, grad):
         (mask,) = self._cache
-        return np.where(mask, grad, 0.0)
+        # all-ones bits where the mask holds, all-zero (+0.0) bits elsewhere
+        bits = np.dtype(f"u{grad.itemsize}")
+        return (grad.view(bits) & np.negative(mask, dtype=bits)).view(grad.dtype)
 
 
 class Dropout(Layer):
@@ -326,8 +333,19 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x
 
 
+ATTENTION_BLOCK_SCORES = 1 << 18   # least scores per block of the attention core
+
+
 class MultiHeadAttention(Layer):
-    """Bidirectional self-attention; head_dim * heads must equal dim."""
+    """Bidirectional self-attention; head_dim * heads must equal dim.
+
+    The core (scores, softmax, their product with the values, and its
+    backward) works on each (batch, head) pair alone: every product is one
+    2-d matrix product per pair and the softmax works per row.  So it runs
+    over fixed blocks of batch rows, fanned out over the CPUs
+    (`blocks.fan_out`), with the bytes of one whole-batch call.  The
+    projections and the weight gradients stay whole, on the calling thread.
+    """
 
     def __init__(self, dim: int, rng: np.random.Generator, heads: int = 4):
         super().__init__()
@@ -347,6 +365,15 @@ class MultiHeadAttention(Layer):
         b, h, t, d = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
 
+    def _core(self, run, b, t):
+        """run(lo, hi) over batch rows lo:hi in blocks of at least
+        ATTENTION_BLOCK_SCORES scores; a batch of one block runs in one call."""
+        rows = -(-ATTENTION_BLOCK_SCORES // (self.heads * t * t))
+        if rows >= b:
+            run(0, b)
+        else:
+            fan_out(run, row_blocks(b, rows), rows)
+
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[-1] != self.dim:
             _shape_error(self, f"(batch, steps, {self.dim})", x.shape)
@@ -354,10 +381,17 @@ class MultiHeadAttention(Layer):
         q = self._split(x @ p["wq"] + p["bq"])
         k = self._split(x @ p["wk"] + p["bk"])
         v = self._split(x @ p["wv"] + p["bv"])
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores /= self.head_dim ** 0.5   # a Python float: float32 stays float32
-        attn = softmax(scores, axis=-1)   # in the scores' buffer
-        ctx = self._merge(attn @ v)
+        b, h, t, d = q.shape
+        attn = np.empty((b, h, t, t), dtype=q.dtype)
+        ctx = np.empty((b, h, t, d), dtype=q.dtype)
+
+        def run(lo, hi):
+            scores = np.matmul(q[lo:hi], k[lo:hi].transpose(0, 1, 3, 2), out=attn[lo:hi])
+            scores /= self.head_dim ** 0.5   # a Python float: float32 stays float32
+            np.matmul(softmax(scores, axis=-1), v[lo:hi], out=ctx[lo:hi])
+
+        self._core(run, b, t)
+        ctx = self._merge(ctx)
         self._keep(training, x, q, k, v, attn, ctx)
         return ctx @ p["wo"] + p["bo"]
 
@@ -369,13 +403,18 @@ class MultiHeadAttention(Layer):
         g["wo"] += ctx.reshape(-1, self.dim).T @ grad.reshape(-1, self.dim)
         g["bo"] += grad.reshape(-1, self.dim).sum(axis=0)
         dctx = self._split(grad @ p["wo"].T)
+        dq, dk, dv = (np.empty_like(dctx, order="C") for _ in range(3))
 
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= self.head_dim ** 0.5
-        dq = dscores @ k
-        dk = dscores.transpose(0, 1, 3, 2) @ q
+        def run(lo, hi):
+            a, dc = attn[lo:hi], dctx[lo:hi]
+            dattn = dc @ v[lo:hi].transpose(0, 1, 3, 2)
+            np.matmul(a.transpose(0, 1, 3, 2), dc, out=dv[lo:hi])
+            dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
+            dscores /= self.head_dim ** 0.5
+            np.matmul(dscores, k[lo:hi], out=dq[lo:hi])
+            np.matmul(dscores.transpose(0, 1, 3, 2), q[lo:hi], out=dk[lo:hi])
+
+        self._core(run, b, t)
 
         dx = np.zeros_like(x)
         x2 = x.reshape(-1, self.dim)

@@ -6,8 +6,9 @@ records a cache key and the sha256 of each output in manifest.json.  The key
 hashes only what the stage reads (STAGE_IO), so a stage re-runs only when an
 output is missing or changed, or something it reads changed.  A stage run on
 its own refuses an input that differs from the sha256 its producer recorded.
-A re-run hashes the recorded artifacts it checks once each, concurrently,
-before the first stage.
+A re-run hashes the recorded artifacts it checks, and the record and
+annotation files, once each, concurrently, before the first stage; only a
+convert that re-runs reads the record and annotation files' bytes.
 With a fixed config and seed every artifact byte is reproducible, so deleting
 an intermediate and re-running `all` regenerates it bit-identically.
 """
@@ -124,11 +125,9 @@ def _recorded(manifest: dict, name: str):
     return manifest["stages"].get(_PRODUCER[name], {}).get("outputs", {}).get(name)
 
 
-def _file_sha256(path: Path) -> str | None:
+def _sha256(path: Path) -> str:
     """The file's sha256, read through a buffer of this call's own, so calls
     on several threads share nothing."""
-    if not path.exists():
-        return None
     h, buf = hashlib.sha256(), bytearray(1 << 20)
     view = memoryview(buf)
     with path.open("rb") as f:
@@ -137,14 +136,36 @@ def _file_sha256(path: Path) -> str | None:
     return h.hexdigest()
 
 
+def _file_sha256(path: Path) -> str | None:
+    """An artifact's sha256, or None when it does not exist."""
+    return _sha256(path) if path.exists() else None
+
+
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
+def _source_sha256(path: Path) -> str | None:
+    """A record or annotation file's sha256, or None when it cannot be read:
+    convert then re-runs and reports why."""
+    try:
+        return _sha256(path)
+    except OSError:
+        return None
+
+
 class Pipeline:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.settings = stage_settings(cfg)
         self.out = Path(cfg.out)
         self.manifest_path = self.out / "manifest.json"
-        self._inputs: list[bytes] = []   # read for the convert key, parsed by stage_convert
         self._hashes: dict[str, str | None] = {}   # each artifact's sha256 as the file is now
+        # the record's and annotations' sha256, as hashed up front or as convert parsed them
+        self._sources: list[str | None] = []
 
     # ---- manifest / caching ----------------------------------------------
 
@@ -161,21 +182,28 @@ class Pipeline:
         return {"stages": stages, "toolkit_version": __version__}
 
     def _save_manifest(self, manifest: dict):
-        # written aside and renamed, so a crash never leaves half a manifest
+        # written aside and renamed, so a crash never leaves half a manifest;
+        # no indent, so json's C encoder writes it (the manifest holds wall
+        # times, so no byte of it is reproducible anyway)
         tmp = self.out / "manifest.json.tmp"
-        tmp.write_text(_json_dumps(manifest))
+        tmp.write_text(json.dumps(manifest, sort_keys=True) + "\n")
         os.replace(tmp, self.manifest_path)
+
+    def _source_files(self) -> list[tuple[str, str]]:
+        """(what, path) of the record file, then of the annotation file when
+        one is set."""
+        self.cfg.require_inputs()
+        return [(what, name) for what, name in (("record", self.cfg.record),
+                                                ("annotations", self.cfg.annotations)) if name]
 
     def _read_inputs(self) -> list[bytes]:
         """The record file's bytes, then the annotation file's when one is set."""
-        self.cfg.require_inputs()
         inputs = []
-        for what, name in (("record", self.cfg.record), ("annotations", self.cfg.annotations)):
-            if name:
-                try:
-                    inputs.append(Path(name).read_bytes())
-                except OSError as exc:
-                    raise DataError(f"cannot read {what} file {name}: {exc}") from exc
+        for what, name in self._source_files():
+            try:
+                inputs.append(Path(name).read_bytes())
+            except OSError as exc:
+                raise DataError(f"cannot read {what} file {name}: {exc}") from exc
         return inputs
 
     def _digest(self, name: str) -> str | None:
@@ -199,8 +227,7 @@ class Pipeline:
         inputs = [__version__, stage, {f: getattr(self.cfg, f) for f in io.fields},
                   input_digests]
         if stage == "convert":
-            self._inputs = self._read_inputs()
-            inputs.append([hashlib.sha256(data).hexdigest() for data in self._inputs])
+            inputs.append(self._sources)
         return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
     def _digests(self, stage: str) -> dict[str, str | None]:
@@ -213,8 +240,9 @@ class Pipeline:
         A stage whose key, from the config and the recorded input digests,
         is not its recorded key re-runs whatever its files hold: its outputs,
         and those of every stage reading them, are left out and hashed once
-        written.  Convert's key also covers the record file, which only the
-        stage loop reads, so convert counts as cached here."""
+        written.  Convert's key also covers the record and annotation files,
+        hashed in the same fan-out, so convert counts as cached here; on a
+        first convert, with no key recorded, they are left to the stage."""
         fresh: set[str] = set()   # artifacts this run is bound to write anew
         for stage in names:
             io = STAGE_IO[stage]
@@ -225,10 +253,21 @@ class Pipeline:
                 fresh.update(io.writes)
         wanted = {name for stage in names for name in STAGE_IO[stage].reads + STAGE_IO[stage].writes
                   if _recorded(manifest, name) and name not in fresh}
-        paths = sorted((self.out / name for name in wanted),
-                       key=lambda path: path.stat().st_size if path.exists() else 0, reverse=True)
-        digests = fan_out(lambda lo, hi: _file_sha256(paths[lo]), row_blocks(len(paths), 1), 1)
-        self._hashes = {path.name: digest for path, digest in zip(paths, digests)}
+        paths = [self.out / name for name in wanted]
+        if "convert" in names and "convert" in manifest["stages"]:
+            sources = [Path(name) for _, name in self._source_files()]
+        else:
+            sources = []
+        files = paths + sources
+        order = sorted(range(len(files)), key=lambda i: _size(files[i]), reverse=True)
+
+        def hash_file(lo, hi):
+            i = order[lo]
+            return (_file_sha256 if i < len(paths) else _source_sha256)(files[i])
+
+        digests = dict(zip(order, fan_out(hash_file, row_blocks(len(files), 1), 1)))
+        self._hashes = {path.name: digests[i] for i, path in enumerate(paths)}
+        self._sources = [digests[i] for i in range(len(paths), len(files))]
 
     def _require(self, name: str) -> Path:
         path = self.out / name
@@ -252,15 +291,17 @@ class Pipeline:
         self._hash_recorded(manifest, names)
         for name in names:
             io = STAGE_IO[name]
-            key = self._stage_key(name, [self._input_digest(read, manifest) for read in io.reads])
+            digests = [self._input_digest(read, manifest) for read in io.reads]
+            key = self._stage_key(name, digests)
             entry = manifest["stages"].get(name, {})
             if entry.get("key") == key and entry.get("outputs") == self._digests(name):
-                self._inputs = []
                 continue
             for written in io.writes:
                 self._hashes.pop(written, None)
             t0 = time.perf_counter()
             getattr(self, f"stage_{name}")()
+            if name == "convert":   # keyed on the bytes it parsed
+                key = self._stage_key(name, digests)
             manifest["stages"][name] = {
                 "key": key,
                 "wall_clock_s": round(time.perf_counter() - t0, 3),
@@ -341,7 +382,8 @@ class Pipeline:
     # ---- stages -------------------------------------------------------------
 
     def stage_convert(self):
-        inputs, self._inputs = self._inputs or self._read_inputs(), []
+        inputs = self._read_inputs()
+        self._sources = [hashlib.sha256(data).hexdigest() for data in inputs]
         if Path(self.cfg.record).suffix.lower() == ".edf":
             record = parse_edf(inputs.pop(0), self.cfg.channel)
         else:

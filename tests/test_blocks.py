@@ -114,3 +114,68 @@ def test_one_full_batch_starts_no_thread(monkeypatch):
     x = np.random.default_rng(0).normal(size=(48, 128, 128))
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert score(trained, x).shape == (48,)
+
+
+def test_nested_fan_out_starts_no_thread(monkeypatch):
+    # the outer fan-out holds every CPU: a fan-out from inside one of its
+    # blocks runs in a plain loop on the block's own thread
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 2)
+    started = []
+    start = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+
+    def inner(lo, hi):
+        return threading.current_thread(), lo
+
+    def outer(lo, hi):
+        ran = blocks.fan_out(inner, blocks.row_blocks(8, 2), 2)
+        assert {thread for thread, _ in ran} == {threading.current_thread()}
+        return [lo for _, lo in ran]
+
+    assert blocks.fan_out(outer, blocks.row_blocks(4, 1), 1) == [[0, 2, 4, 6]] * 4
+    assert len(started) == 1   # the outer fan-out's one pool thread
+    # once it ends, a fan-out uses the pool again
+    assert {thread for thread, _ in blocks.fan_out(inner, blocks.row_blocks(8, 2), 2)} \
+        != {threading.current_thread()}
+
+
+def test_concurrent_fan_outs_run_one_pool_at_a_time(monkeypatch):
+    # callers on four threads, more pool threads than CPUs, switching often:
+    # each caller gets its own blocks back in order, and no two pools overlap
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 8)
+    guard, in_pool, most = threading.Lock(), [0], [0]
+
+    def run(lo, hi):
+        pooled = threading.current_thread().name.startswith("ThreadPoolExecutor")
+        with guard:
+            in_pool[0] += pooled
+            most[0] = max(most[0], in_pool[0])
+        time.sleep(0.0002)
+        with guard:
+            in_pool[0] -= pooled
+        return lo, hi
+
+    spans = list(blocks.row_blocks(400, 5))
+    results = {}
+
+    def caller(k):
+        results[k] = [blocks.fan_out(run, spans, 5) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results == {k: [spans] * 5 for k in range(4)}
+    assert most[0] <= 7   # one pool of cpu_count - 1 threads at most

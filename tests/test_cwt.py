@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from preictal.errors import DataError
 from preictal.features import cwt_scalogram, mexican_hat
-from preictal.features.cwt import KERNEL_HALF_WIDTH, _kernel
+from preictal.features.cwt import KERNEL_HALF_WIDTH, N_SCALES, TIME_STRIDE, _kernel
 
 
 def test_kernel_values_at_origin_and_unit():
@@ -68,3 +69,26 @@ def test_gaussian_bump_peak_scale_matches_quadrature_oracle():
     ours = cwt_scalogram(x).sum(axis=1)
     oracle = quadrature_scale_energy(width, n=n)
     assert abs(int(np.argmax(ours)) - int(np.argmax(oracle))) <= 2
+
+
+def fftconvolve_scalogram(segments):
+    """The transform as one `fftconvolve` call per scale."""
+    x = np.asarray(segments, dtype=np.float64)
+    out = np.empty((*x.shape[:-1], N_SCALES, -(-x.shape[-1] // TIME_STRIDE)))
+    for a in range(1, N_SCALES + 1):
+        kernel = _kernel(a).reshape((1,) * (x.ndim - 1) + (-1,))
+        c = fftconvolve(x, kernel, mode="same", axes=-1)
+        out[..., a - 1, :] = np.square(c[..., ::TIME_STRIDE])
+    return out
+
+
+# one signal FFT per transform length gives the bytes of one fftconvolve per
+# scale: batches of one to a full call, odd and short lengths, more leading
+# axes, and length 1, where fftconvolve multiplies instead
+@pytest.mark.parametrize("shape", [(512,), (1, 512), (3, 512), (48, 512), (64, 512),
+                                   (7, 2560), (5, 1000), (2, 3, 511), (4, 17), (2, 1)])
+def test_matches_one_fftconvolve_per_scale_bytewise(shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    got, want = cwt_scalogram(x), fftconvolve_scalogram(x)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

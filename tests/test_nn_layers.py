@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preictal import blocks
 from preictal.errors import DataError
 from preictal.nn import (BatchNorm, Conv1d, Dense, Dropout, FeedForward,
                          LayerNorm, Lstm, MultiHeadAttention, Relu,
@@ -253,3 +254,68 @@ def test_no_nan_inf_through_deep_stack():
     x = DATA.normal(size=(4, 4, 6)) * 100.0
     out = model.forward(x, training=True)
     assert np.all(np.isfinite(out))
+
+
+def whole_batch_attention(layer, x, grad):
+    """Forward output, input gradient and parameter gradients of `layer`,
+    with the core (scores to context and back) as whole-batch products."""
+    p, scale = layer.params, layer.head_dim ** 0.5
+    q, k, v = (layer._split(x @ p["w" + n] + p["b" + n]) for n in "qkv")
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= scale
+    attn = softmax(scores)
+    ctx = layer._merge(attn @ v)
+    out = ctx @ p["wo"] + p["bo"]
+    grads = {"wo": ctx.reshape(-1, layer.dim).T @ grad.reshape(-1, layer.dim),
+             "bo": grad.reshape(-1, layer.dim).sum(axis=0)}
+    dctx = layer._split(grad @ p["wo"].T)
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores /= scale
+    dx = np.zeros_like(x)
+    for n, d in (("q", dscores @ k), ("k", dscores.transpose(0, 1, 3, 2) @ q), ("v", dv)):
+        d2 = layer._merge(d).reshape(-1, layer.dim)
+        grads["w" + n] = x.reshape(-1, layer.dim).T @ d2
+        grads["b" + n] = d2.sum(axis=0)
+        dx += (d2 @ p["w" + n].T).reshape(x.shape)
+    return [out, dx] + [grads[name] for name in layer.params]
+
+
+# 128 steps: four rows per core block, so 5 rows are two blocks and 32 are eight
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 5, 32])
+def test_attention_bytes_do_not_depend_on_cpu_count(monkeypatch, dtype, batch):
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 128, 32)).astype(dtype)
+    grad = rng.normal(size=x.shape).astype(dtype)
+    layer = MultiHeadAttention(32, make_rng(0), heads=4).astype(dtype)
+    want = [a.tobytes() for a in whole_batch_attention(layer, x, grad)]
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
+        out = layer.forward(x, training=True)
+        layer.zero_grads()
+        dx = layer.backward(grad)
+        got = [out, dx] + [layer.grads[name] for name in layer.params]
+        assert [a.tobytes() for a in got] == want, cpus
+        assert layer.forward(x).tobytes() == want[0], cpus   # inference
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bits_match_where_on_special_values(dtype):
+    info = np.finfo(dtype)
+    bits = np.dtype(f"u{info.dtype.itemsize}")
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+                        info.smallest_subnormal, -info.smallest_subnormal,
+                        info.tiny, -info.tiny, info.max, -info.max], dtype=dtype)
+    noise = np.random.default_rng(0).integers(0, np.iinfo(bits).max, size=4000,
+                                              dtype=bits, endpoint=True).view(dtype)
+    x = np.concatenate([special, noise])   # every sign, exponent and NaN payload kind
+    grad = np.concatenate([special[::-1], noise[::-1]]).reshape(2, -1)
+    x = x.reshape(2, -1)
+    layer = Relu()
+    out = layer.forward(x, training=True)
+    dx = layer.backward(grad)
+    assert out.dtype == dx.dtype == dtype
+    assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert dx.tobytes() == np.where(x > 0, grad, 0.0).tobytes()

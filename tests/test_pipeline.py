@@ -325,6 +325,45 @@ def test_warm_rerun_hashes_each_artifact_at_most_once(completed_run, fixture_fil
         before["evaluate"]["outputs"]["evaluation.json"]
 
 
+def test_edited_record_reruns_convert(fixture_files, tmp_path, monkeypatch):
+    root, record, annotations = fixture_files
+    original = record.read_text()
+    edited = original[:-2] + ("2" if original[-2] == "1" else "1") + "\n"   # the last sample
+    source = tmp_path / "record.csv"
+    source.write_text(original)
+    cfg = config_for(root, source, annotations, tmp_path / "out")
+    npy = tmp_path / "out" / "record.npy"
+
+    def refuse(self):
+        raise AssertionError("a cached convert read the record's bytes")
+
+    def cached_run():
+        with monkeypatch.context() as m:
+            m.setattr(Pipeline, "_read_inputs", refuse)
+            run("convert", cfg)
+
+    run("convert", cfg)
+    samples = np.load(npy)
+    cached_run()   # the record is hashed, not read
+    source.write_text(edited)   # same size
+    run("convert", cfg)
+    assert np.load(npy)[-1] != samples[-1]
+    cached_run()
+    # an edit after the up-front hash: convert is keyed on the bytes it parsed
+    source.write_text(original)
+    hash_recorded = Pipeline._hash_recorded
+
+    def edit_after_hashing(self, *args):
+        hash_recorded(self, *args)
+        source.write_text(edited)
+
+    with monkeypatch.context() as m:
+        m.setattr(Pipeline, "_hash_recorded", edit_after_hashing)
+        run("convert", cfg)
+    assert np.load(npy)[-1] != samples[-1]
+    cached_run()
+
+
 def _flip_last_byte(data: bytes) -> bytes:
     """The same bytes but the last, a sample or feature value: a same-size edit
     no reader sees."""

@@ -15,6 +15,13 @@ the two outputs:
     # the same command in the parent's checkout, > before.json
     diff before.json after.json
 
+Extraction, scoring and the attention layers fan out over the CPUs
+(`preictal.blocks`), and on one CPU they run in a plain loop; the bytes must
+not depend on it, so the output on one CPU must match too:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src taskset -c 0 python3 tools/artifact_digests.py > one_cpu.json
+    diff after.json one_cpu.json
+
 The 18 cold and 18 warm runs take about 8 s with one BLAS thread on 2 CPUs.
 """
 import hashlib
