@@ -30,15 +30,19 @@ def _segment_dtype(window: int) -> np.dtype:
                      ("samples", "<f8", (window,))])
 
 
-def dump_segments(segments: SegmentSet) -> bytes:
+def dump_segments(segments: SegmentSet) -> bytearray:
+    """ESG1 bytes of the segments: one buffer, the header then the chunks."""
     cfg = segments.config
     head = SEGMENTS_MAGIC + struct.pack(
         "<IIIII", VERSION, cfg.sampling_rate_hz, cfg.window_samples,
         cfg.hop_samples, len(segments))
-    body = np.zeros(len(segments), _segment_dtype(cfg.window_samples))
+    dtype = _segment_dtype(cfg.window_samples)
+    out = bytearray(len(head) + len(segments) * dtype.itemsize)   # zeroed, pad bytes too
+    out[:len(head)] = head
+    body = np.frombuffer(out, dtype, count=len(segments), offset=len(head))
     body["start"], body["phase"], body["samples"] = (
         segments.start_samples, segments.phases, segments.samples)
-    return b"".join((head, body))
+    return out
 
 
 def _segment_body(data: bytes) -> tuple[np.ndarray, SegmentationConfig]:

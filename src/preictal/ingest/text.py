@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
+import os
 import warnings
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -16,6 +19,32 @@ ANNOTATION_HEADER = ("onset_s", "offset_s", "type")
 
 # per-row sample spacing may deviate at most this much from the median step
 MAX_DT_DEVIATION = 0.01
+# parse_csv reads a record in blocks of about this many bytes
+BLOCK_BYTES = 1 << 22
+SERIALIZE_ROWS = 1 << 16   # serialize_csv formats this many rows per call
+
+
+class RecordFile:
+    """A record file open for reading, which parse_csv reads in blocks.
+    `sha256` digests the bytes read since the file's start; len() is the
+    file's size."""
+
+    def __init__(self, f: BinaryIO):
+        self._f, self.sha256 = f, hashlib.sha256()
+
+    def __len__(self) -> int:
+        return os.fstat(self._f.fileno()).st_size
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._f.read(size)
+        self.sha256.update(data)
+        return data
+
+    def reread(self) -> bytes:
+        """The whole file, read and digested anew from its start."""
+        self._f.seek(0)
+        self.sha256 = hashlib.sha256()
+        return self.read()
 
 
 def _rows(text: str, expected_header: tuple[str, ...]) -> list[list[str]]:
@@ -78,15 +107,102 @@ def _row_line(data: bytes, start: int, row: int) -> int:
     return next(itertools.islice(lines, row, None)) + 1
 
 
-def parse_csv(data: bytes | str, patient_id: str = "unknown") -> EcgRecord:
+def _cut(buf: bytes) -> int:
+    """The length of the longest prefix of buf that ends at a line break
+    outside quotes, or 0 if none does; buf starts a line outside quotes.
+
+    The reader opens a quoted field only at a field's start, and inside
+    quotes every quote toggles: a quote after any other byte outside quotes
+    is literal.  So a line break is outside quotes where an even number of
+    quotes precede it, up to the first literal quote; no cut is made past it.
+    """
+    if b'"' not in buf:
+        return buf.rfind(b"\n") + 1
+    a = np.frombuffer(buf, dtype=np.uint8)
+    quotes = np.flatnonzero(a == ord('"'))
+    literal = np.flatnonzero((quotes > 0) & (np.arange(len(quotes)) % 2 == 0)
+                             & ~np.isin(a[quotes - 1], np.frombuffer(b'",\n', np.uint8)))
+    end = quotes[literal[0]] if len(literal) else len(a)
+    breaks = np.flatnonzero(a[:end] == ord("\n"))
+    breaks = breaks[np.searchsorted(quotes, breaks) % 2 == 0]
+    return int(breaks[-1]) + 1 if len(breaks) else 0
+
+
+def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """What read(BLOCK_BYTES) returns until it returns nothing, in blocks
+    that each end at a line break outside quotes, the last at the end."""
+    rest = b""
+    while chunk := read(BLOCK_BYTES):
+        rest += chunk
+        del chunk   # while a block is parsed, its bytes are held once
+        if cut := _cut(rest):
+            block, rest = rest[:cut], rest[cut:]
+            yield block
+    if rest:
+        yield rest
+
+
+def _block_record(blocks: Iterator[bytes], patient_id: str) -> EcgRecord | None:
+    """The record of a CSV read in blocks, or None if any check fails: the
+    whole-file parse then names the first error.  It keeps the mv column and
+    the time steps, not the rows."""
+    head, start, mv, dt, last = b"", None, [], [], None
+    try:
+        with warnings.catch_warnings():   # a block of blank lines holds no data
+            warnings.simplefilter("ignore")
+            for block in blocks:
+                if start is None:   # blank lines and the header may fill blocks
+                    head += block
+                    if (start := _first_data_line(head)) is None:
+                        continue
+                    block, head = head, b""
+                values = _load_rows(block, skiprows=start)
+                start = 0
+                if not np.isfinite(values).all():
+                    return None
+                t = values[:, 0]
+                dt.append(np.diff(t) if last is None else np.diff(t, prepend=last))
+                mv.append(values[:, 1].copy())
+                if len(t):
+                    last = t[-1]
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if start is None:
+        return None
+    mv, dt = np.concatenate(mv), np.concatenate(dt)
+    if len(mv) < 2 or np.any(dt <= 0):
+        return None
+    step = float(np.median(dt, overwrite_input=True))   # reorders dt: the check is order-free
+    dt -= step
+    if np.any(np.abs(dt, out=dt) > MAX_DT_DEVIATION * step) or not 0.5 < 1.0 / step < 2 ** 31:
+        return None
+    return EcgRecord(patient_id=patient_id, sampling_rate_hz=round(1.0 / step), samples=mv)
+
+
+def parse_csv(data: bytes | str | RecordFile, patient_id: str = "unknown") -> EcgRecord:
     """Parse a UTF-8 `time_s,mv` CSV with uniform sampling.
 
     The rate is inferred as round(1/median_step); rows whose step deviates
     more than 1% from the median are rejected as non-uniform.  An error that
     points at a row names its 1-based line in the file.
+
+    The input is read and parsed in blocks of about BLOCK_BYTES, so a
+    RecordFile is never resident whole.  If any check fails, the input is
+    read whole again and parsed in one reader call, which names the error.
     """
     if isinstance(data, str):   # a lone surrogate becomes bytes that fail to decode below
         data = data.encode(errors="surrogatepass")
+    if isinstance(data, bytes):
+        read, whole = io.BytesIO(data).read, lambda: data
+    else:
+        read, whole = data.read, data.reread
+    record = _block_record(_blocks(read), patient_id)
+    return record if record is not None else _parse_whole(whole(), patient_id)
+
+
+def _parse_whole(data: bytes, patient_id: str) -> EcgRecord:
+    """parse_csv over the whole input in one reader call: the reference that
+    names each error's line."""
     try:
         start = _first_data_line(data)
         if start is None:
@@ -125,11 +241,14 @@ def parse_csv(data: bytes | str, patient_id: str = "unknown") -> EcgRecord:
 
 def serialize_csv(record: EcgRecord) -> str:
     """Serialize with 17 significant digits so parse_csv round-trips bit-exactly."""
-    fs = record.sampling_rate_hz
-    lines = [",".join(RECORD_HEADER)]
-    for i, v in enumerate(record.samples):
-        lines.append(f"{i / fs:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    fs, n = record.sampling_rate_hz, len(record.samples)
+    parts = [",".join(RECORD_HEADER) + "\n"]
+    for lo in range(0, n, SERIALIZE_ROWS):   # one % per block of rows
+        rows = np.empty((min(SERIALIZE_ROWS, n - lo), 2))
+        rows[:, 0] = np.arange(lo, lo + len(rows)) / fs   # i / fs, as Python divides ints
+        rows[:, 1] = record.samples[lo:lo + len(rows)]
+        parts.append(("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def load_annotations(text: str) -> list[SeizureAnnotation]:

@@ -407,9 +407,10 @@ class MultiHeadAttention(Layer):
 
         def run(lo, hi):
             a, dc = attn[lo:hi], dctx[lo:hi]
-            dattn = dc @ v[lo:hi].transpose(0, 1, 3, 2)
+            dscores = dc @ v[lo:hi].transpose(0, 1, 3, 2)   # dattn, made dscores in place
             np.matmul(a.transpose(0, 1, 3, 2), dc, out=dv[lo:hi])
-            dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
+            dscores -= (dscores * a).sum(axis=-1, keepdims=True)
+            dscores *= a
             dscores /= self.head_dim ** 0.5
             np.matmul(dscores, k[lo:hi], out=dq[lo:hi])
             np.matmul(dscores.transpose(0, 1, 3, 2), q[lo:hi], out=dk[lo:hi])

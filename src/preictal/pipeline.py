@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -37,7 +38,7 @@ from .evaluation import (classify_alarm_intervals, count_confusion,
                          interictal_hours, metrics, seizure_outcomes)
 from .features import (apply_normalization, extract_features, feature_shape, fit_normalization,
                        rows_per_call)
-from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
+from .ingest import (EcgRecord, RecordFile, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
@@ -81,6 +82,15 @@ _PRODUCER = {name: stage for stage, io in STAGE_IO.items() for name in io.writes
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@contextmanager
+def _reading(what: str, name: str):
+    """Raise an OSError from within the block as a DataError naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {name}: {exc}") from exc
 
 
 def _decode(data: bytes, what: str) -> str:
@@ -196,15 +206,17 @@ class Pipeline:
         return [(what, name) for what, name in (("record", self.cfg.record),
                                                 ("annotations", self.cfg.annotations)) if name]
 
-    def _read_inputs(self) -> list[bytes]:
-        """The record file's bytes, then the annotation file's when one is set."""
-        inputs = []
-        for what, name in self._source_files():
-            try:
-                inputs.append(Path(name).read_bytes())
-            except OSError as exc:
-                raise DataError(f"cannot read {what} file {name}: {exc}") from exc
-        return inputs
+    @contextmanager
+    def _read_inputs(self):
+        """The record file open for reading, as a RecordFile, and a list of the
+        annotation file's bytes, empty when none is set."""
+        (what, name), *annotation_file = self._source_files()
+        with _reading(what, name), Path(name).open("rb") as f:
+            annotations = []
+            for file in annotation_file:
+                with _reading(*file):
+                    annotations.append(Path(file[1]).read_bytes())
+            yield RecordFile(f), annotations
 
     def _digest(self, name: str) -> str | None:
         """An artifact's sha256 as the file is now, hashed once per run."""
@@ -382,12 +394,13 @@ class Pipeline:
     # ---- stages -------------------------------------------------------------
 
     def stage_convert(self):
-        inputs = self._read_inputs()
-        self._sources = [hashlib.sha256(data).hexdigest() for data in inputs]
-        if Path(self.cfg.record).suffix.lower() == ".edf":
-            record = parse_edf(inputs.pop(0), self.cfg.channel)
-        else:
-            record = parse_csv(inputs.pop(0), patient_id=self.cfg.patient_id or "unknown")
+        with self._read_inputs() as (source, inputs):
+            if Path(self.cfg.record).suffix.lower() == ".edf":
+                record = parse_edf(source.read(), self.cfg.channel)
+            else:   # read in blocks, each hashed as it is read
+                record = parse_csv(source, patient_id=self.cfg.patient_id or "unknown")
+        self._sources = [source.sha256.hexdigest()] + [hashlib.sha256(data).hexdigest()
+                                                       for data in inputs]
         annotations = load_annotations(_decode(inputs.pop(), "annotations")) if inputs else []
         record = replace(record, patient_id=self.cfg.patient_id or record.patient_id,
                          annotations=annotations)
@@ -401,12 +414,12 @@ class Pipeline:
 
     def stage_preprocess(self):
         meta, anns = self._record_meta(), self._annotations()
-        record = EcgRecord(patient_id=meta["patient_id"],
-                           sampling_rate_hz=meta["sampling_rate_hz"],
-                           samples=np.load(self._require("record.npy")),
-                           annotations=anns)
-        filtered = lowpass(record, self.settings.filter)
-        seg_cfg = replace(self.settings.segmentation, sampling_rate_hz=record.sampling_rate_hz)
+        # the raw samples are dropped once filtered
+        filtered = lowpass(EcgRecord(patient_id=meta["patient_id"],
+                                     sampling_rate_hz=meta["sampling_rate_hz"],
+                                     samples=np.load(self._require("record.npy")),
+                                     annotations=anns), self.settings.filter)
+        seg_cfg = replace(self.settings.segmentation, sampling_rate_hz=filtered.sampling_rate_hz)
         segments = label_phases(segment(filtered, seg_cfg), anns,
                                 preictal_len_s=self._preictal_len_s(meta),
                                 postictal_len_s=self.settings.evaluation.postictal_len_s)

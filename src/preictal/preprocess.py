@@ -145,9 +145,9 @@ def segment(record: EcgRecord, cfg: SegmentationConfig) -> SegmentSet:
     if n < w:
         raise DataError(f"record of {n} samples is shorter than one {w}-sample window")
     count = 1 + (n - w) // hop
-    starts = np.arange(count, dtype=np.int64) * hop
-    idx = starts[:, None] + np.arange(w)[None, :]
-    return SegmentSet(record.samples[idx], starts,
+    # a strided view of the record: SegmentSet copies it only when windows overlap
+    windows = np.lib.stride_tricks.sliding_window_view(record.samples, w)[::hop]
+    return SegmentSet(windows, np.arange(count, dtype=np.int64) * hop,
                       np.zeros(count, dtype=np.int8), cfg)
 
 

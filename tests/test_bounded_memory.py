@@ -17,8 +17,9 @@ from preictal.ingest import (SyntheticEvent, SyntheticSpec, generate_synthetic,
                              serialize_annotations, serialize_csv, write_edf)
 
 MARGIN_MB = 64
-# convert holds the CSV bytes and one float64 array of half their size or less
-CSV_PEAK_PER_BYTE = 4
+# convert holds one block of the CSV, and the mv column and time steps:
+# 16 bytes per row of about 35
+CSV_PEAK_PER_BYTE = 1.5
 STAGES = ("convert", "preprocess", "extract", "train", "score")
 # prints the peak resident set in KiB: VmHWM, else ru_maxrss (KiB on Linux,
 # bytes on macOS)
@@ -83,6 +84,6 @@ def test_csv_convert_peak_grows_with_file_bytes_only(records):
     short, long = (stage_peaks_mb(records[d], "record.csv", ("convert",))["convert"]
                    for d in (150.0, 600.0))
     file_mb = [(records[d] / "record.csv").stat().st_size / 2**20 for d in (150.0, 600.0)]
-    # 7.6 MiB more file bytes: about 17 MiB more peak, 105 MiB with a parser
-    # that keeps a Python list per row
+    # 7.6 MiB more file bytes: about 9.5 MiB more peak; 17 MiB when the file
+    # was read whole, 105 MiB with a parser that keeps a Python list per row
     assert long - short < CSV_PEAK_PER_BYTE * (file_mb[1] - file_mb[0]), (short, long, file_mb)

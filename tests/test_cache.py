@@ -42,6 +42,19 @@ def test_segment_index_reads_starts_phases_and_config():
     assert index.config == segs.config
 
 
+@pytest.mark.parametrize("overlap_s", [0, 1])
+def test_segment_bytes_are_header_then_zero_padded_chunks(overlap_s):
+    segs = make_segments(overlap_s)
+    cfg = segs.config
+    chunks = np.zeros(len(segs), [("start", "<i8"), ("phase", "u1"), ("pad", "V7"),
+                                  ("samples", "<f8", (cfg.window_samples,))])
+    chunks["start"], chunks["phase"], chunks["samples"] = (
+        segs.start_samples, segs.phases, segs.samples)
+    head = b"ESG1" + struct.pack("<IIIII", 1, cfg.sampling_rate_hz, cfg.window_samples,
+                                 cfg.hop_samples, len(segs))
+    assert bytes(dump_segments(segs)) == head + chunks.tobytes()
+
+
 def test_segment_bad_magic():
     with pytest.raises(DataError, match="magic"):
         load_segments(b"XXXX" + b"\0" * 60)

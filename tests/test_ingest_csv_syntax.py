@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from preictal.errors import DataError, NumericError
 from preictal.ingest import parse_csv
+from preictal.ingest import text as csv_text
 
 ROWS = "0,1.5\n0.125,-2\n0.25,3e-3\n0.375,4\n"
 SAMPLES = np.array([1.5, -2.0, 3e-3, 4.0])
@@ -28,7 +29,7 @@ def test_numbers_read_as_python_float(values, fmt):
     assert rec.samples.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
-@pytest.mark.parametrize("text", [
+ACCEPTED = [
     "TIME_S,MV\n" + ROWS,
     "  time_s , mv  \n" + ROWS,
     '"time_s","mv"\n' + ROWS,
@@ -36,7 +37,16 @@ def test_numbers_read_as_python_float(values, fmt):
     ("time_s,mv\n" + ROWS).replace("\n", "\r\n"),
     "".join(f"{row},extra{i}\n" for i, row in enumerate(ROWS.splitlines())),
     ROWS.replace("0.25,3e-3", '"0.25","3e-3"'),
-])
+]
+MALFORMED = [
+    ROWS + " , \n0.5,1\n",       # blank cells: skipped by earlier versions
+    ROWS + "   \n0.5,1\n",       # a whitespace-only line, likewise
+    ROWS.replace("-2", "1_0"),   # float() reads 1_0 as 10
+    ROWS + "0.5\n",              # one column
+]
+
+
+@pytest.mark.parametrize("text", ACCEPTED)
 def test_accepted_syntax(text):
     rec = parse_csv(text)
     assert rec.sampling_rate_hz == 8
@@ -44,12 +54,7 @@ def test_accepted_syntax(text):
     assert np.array_equal(parse_csv(text.encode()).samples, SAMPLES)
 
 
-@pytest.mark.parametrize("text", [
-    ROWS + " , \n0.5,1\n",       # blank cells: skipped by earlier versions
-    ROWS + "   \n0.5,1\n",       # a whitespace-only line, likewise
-    ROWS.replace("-2", "1_0"),   # float() reads 1_0 as 10
-    ROWS + "0.5\n",              # one column
-])
+@pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_row_named(text):
     with pytest.raises(DataError, match=r"malformed row at line \d+"):
         parse_csv(text)
@@ -121,3 +126,57 @@ def test_first_of_two_malformed_lines_named():
     rows[150], rows[37] = "x,1", "0.5,"
     with pytest.raises(DataError, match="malformed row at line 39"):
         parse_csv("time_s,mv\n" + "\n".join(rows) + "\n")
+
+
+def _outcome(parse, data):
+    """parse(data)'s rate and samples, bitwise, or its DataError text."""
+    try:
+        rec = parse(data)
+    except DataError as exc:
+        return str(exc)
+    return rec.sampling_rate_hz, rec.samples.tobytes()
+
+
+def _parses_as_one(data: bytes, block_bytes: int):
+    """parse_csv in blocks of block_bytes gives what it gives in its default
+    blocks, and what one reader call over the whole input gives."""
+    whole = _outcome(lambda d: csv_text._parse_whole(d, "unknown"), data)
+    assert _outcome(parse_csv, data) == whole
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csv_text, "BLOCK_BYTES", block_bytes)
+        assert _outcome(parse_csv, data) == whole
+
+
+# reads end inside the header, quoted fields (some spanning lines), CRLF
+# ends and runs of blank lines; the quote after a literal one (a"b) opens
+# a field that holds the next line, so the record is sampled at 4 Hz
+BLOCK_CASES = ACCEPTED + MALFORMED + [
+    ROWS.replace("\n", "\n\n\n\n"),
+    ROWS.replace("0.125,-2\n", '"0.125","-2","a\n,b\n""c"""\n'),
+    '0,1.5,a"b,"c\n0.125,-2,"\n0.25,3e-3\n0.5,4\n',
+    ROWS + "0.5,1",
+    "time_s,mv\n" + ROWS + "0.5,\xff\n",
+    "time_s,mv\n" + ROWS + "0.5,inf\n0.625,1\n",
+    "time_s,mv\n" + ROWS + "0.5,1\n\n0.7,1\n",
+    "time_s,mv\n" + ROWS.replace("0.25,", "0.5,"),
+    "time_s,mv\ntime_s,mv\n" + ROWS,
+    "time_s,mv\n\n\n",
+]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2, 3, 5, 7, 16])
+@pytest.mark.parametrize("text", BLOCK_CASES)
+def test_small_blocks_parse_as_one(text, block_bytes):
+    _parses_as_one(text.encode("latin-1"), block_bytes)
+
+
+CELLS = st.sampled_from(["0", "0.125", "-2", "3e-3", "1_0", "inf", "x", "", " ",
+                         '"0.25"', '"a\n,b"', '""', 'a"b', '"c', '"', "\xff"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=8),
+       st.sampled_from(["\n", "\r\n", "\n\n"]), st.integers(1, 9))
+def test_blocks_of_any_size_parse_as_one(rows, end, block_bytes):
+    lines = [f"{i / 8!r},{','.join(cells)}" for i, cells in enumerate(rows)]
+    _parses_as_one(("time_s,mv" + end + end.join(lines) + end).encode("latin-1"), block_bytes)

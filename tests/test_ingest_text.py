@@ -5,6 +5,7 @@ from preictal.cli import main
 from preictal.errors import DataError
 from preictal.ingest import (EcgRecord, SeizureType, load_annotations, parse_csv,
                              serialize_annotations, serialize_csv)
+from preictal.ingest import text as csv_text
 
 
 def rows_at(fs, n, values=None):
@@ -59,6 +60,19 @@ def test_serialize_roundtrip_bit_exact():
     back = parse_csv(serialize_csv(rec))
     assert back.sampling_rate_hz == 512
     assert np.array_equal(back.samples, rec.samples)
+
+
+@pytest.mark.parametrize("n, fs, block_rows", [(1, 512, 7), (29, 3, 7), (65537, 512, None)])
+def test_serialize_matches_a_row_at_a_time(monkeypatch, n, fs, block_rows):
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3]
+    samples = np.resize(special, n)
+    samples[len(special):] = np.random.default_rng(3).normal(size=max(0, n - len(special)))
+    rec = EcgRecord(patient_id="p", sampling_rate_hz=fs, samples=samples)
+    if block_rows:
+        monkeypatch.setattr(csv_text, "SERIALIZE_ROWS", block_rows)
+    rows = "".join(f"{i / fs:.17g},{v:.17g}\n" for i, v in enumerate(rec.samples))
+    assert serialize_csv(rec).encode() == ("time_s,mv\n" + rows).encode()
 
 
 def test_annotation_single_row():

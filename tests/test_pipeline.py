@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
 from preictal.models.training import SCORE_BATCH
 from preictal.ingest import serialize_annotations, serialize_csv
+from preictal.ingest import text as csv_text
 from preictal.nn import dump_arrays, load_arrays
 from preictal import pipeline
 from preictal.pipeline import STAGE_IO, STAGES, Pipeline, run
@@ -362,6 +364,18 @@ def test_edited_record_reruns_convert(fixture_files, tmp_path, monkeypatch):
         run("convert", cfg)
     assert np.load(npy)[-1] != samples[-1]
     cached_run()
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 22])
+def test_convert_records_the_whole_files_sha256(fixture_files, tmp_path, monkeypatch,
+                                                block_bytes):
+    # the record is hashed block by block as convert parses it
+    root, record, annotations = fixture_files
+    monkeypatch.setattr(csv_text, "BLOCK_BYTES", block_bytes)
+    p = Pipeline(config_for(root, record, annotations, tmp_path / "out"))
+    p.run("convert")
+    assert p._sources == [hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in (record, annotations)]
 
 
 def _flip_last_byte(data: bytes) -> bytes:

@@ -92,6 +92,15 @@ class TestSegment:
         hops = np.diff(segs.start_samples)
         assert np.all(hops == segs.config.hop_samples)
 
+    @pytest.mark.parametrize("window_s, overlap_s", [(1, 0), (5, 0), (5, 1), (5, 3), (10, 5)])
+    def test_windows_match_an_index_gather(self, window_s, overlap_s):
+        rec = record_of(np.random.default_rng(2).normal(size=FS * 23 + 100))
+        segs = segment(rec, SegmentationConfig(window_s, overlap_s, FS))
+        idx = segs.start_samples[:, None] + np.arange(segs.config.window_samples)
+        assert segs.samples.tobytes() == rec.samples[idx].tobytes()
+        # windows that do not overlap view the record; overlapping ones are copied
+        assert np.shares_memory(segs.samples, rec.samples) == (overlap_s == 0)
+
     def test_overlap_must_be_smaller(self):
         with pytest.raises(ConfigError, match="smaller"):
             SegmentationConfig(window_s=1, overlap_s=5, sampling_rate_hz=FS)
