@@ -107,46 +107,38 @@ def _row_line(data: bytes, start: int, row: int) -> int:
     return next(itertools.islice(lines, row, None)) + 1
 
 
-def _cut(buf: bytes) -> int:
-    """The length of the longest prefix of buf that ends at a line break
-    outside quotes, or 0 if none does; buf starts a line outside quotes.
-
-    The reader opens a quoted field only at a field's start, and inside
-    quotes every quote toggles: a quote after any other byte outside quotes
-    is literal.  So a line break is outside quotes where an even number of
-    quotes precede it, up to the first literal quote; no cut is made past it.
-    """
-    if b'"' not in buf:
-        return buf.rfind(b"\n") + 1
-    a = np.frombuffer(buf, dtype=np.uint8)
-    quotes = np.flatnonzero(a == ord('"'))
-    literal = np.flatnonzero((quotes > 0) & (np.arange(len(quotes)) % 2 == 0)
-                             & ~np.isin(a[quotes - 1], np.frombuffer(b'",\n', np.uint8)))
-    end = quotes[literal[0]] if len(literal) else len(a)
-    breaks = np.flatnonzero(a[:end] == ord("\n"))
-    breaks = breaks[np.searchsorted(quotes, breaks) % 2 == 0]
-    return int(breaks[-1]) + 1 if len(breaks) else 0
-
-
 def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     """What read(BLOCK_BYTES) returns until it returns nothing, in blocks
-    that each end at a line break outside quotes, the last at the end."""
-    rest = b""
+    that each end at a line break, the last at the end of the input.  A
+    quote may open a cell that holds a line break, so at the first quote
+    it raises ValueError, and the input is then parsed whole."""
+    parts = []   # what was read since the last line break
     while chunk := read(BLOCK_BYTES):
-        rest += chunk
-        del chunk   # while a block is parsed, its bytes are held once
-        if cut := _cut(rest):
-            block, rest = rest[:cut], rest[cut:]
+        if b'"' in chunk:
+            raise ValueError("a quoted cell may hold a line break")
+        if cut := chunk.rfind(b"\n") + 1:
+            block = b"".join((*parts, memoryview(chunk)[:cut]))
+            parts = [chunk[cut:]]
+            del chunk   # while a block is parsed, its bytes are held once
             yield block
-    if rest:
-        yield rest
+        else:
+            parts.append(chunk)
+    if block := b"".join(parts):
+        yield block
 
 
-def _block_record(blocks: Iterator[bytes], patient_id: str) -> EcgRecord | None:
-    """The record of a CSV read in blocks, or None if any check fails: the
-    whole-file parse then names the first error.  It keeps the mv column and
-    the time steps, not the rows."""
-    head, start, mv, dt, last = b"", None, [], [], None
+def _first_bad_row(values: np.ndarray) -> int | None:
+    """The index of the first row of values that holds a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    return int(bad[0]) if len(bad) else None
+
+
+def _block_columns(blocks: Iterator[bytes]) -> tuple[np.ndarray, np.ndarray, int | None] | None:
+    """The mv column, the time steps between rows and the first row with a
+    non-finite value (or None) of a CSV read in blocks; None if the reader
+    rejects a block or no line holds samples: the whole-file parse then
+    names the error.  It keeps the mv column and the time steps, not the rows."""
+    head, start, mv, dt, last, rows, bad = b"", None, [], [], None, 0, None
     try:
         with warnings.catch_warnings():   # a block of blank lines holds no data
             warnings.simplefilter("ignore")
@@ -158,25 +150,45 @@ def _block_record(blocks: Iterator[bytes], patient_id: str) -> EcgRecord | None:
                     block, head = head, b""
                 values = _load_rows(block, skiprows=start)
                 start = 0
-                if not np.isfinite(values).all():
-                    return None
+                if bad is None and (row := _first_bad_row(values)) is not None:
+                    bad = rows + row
                 t = values[:, 0]
                 dt.append(np.diff(t) if last is None else np.diff(t, prepend=last))
                 mv.append(values[:, 1].copy())
+                rows += len(t)
                 if len(t):
                     last = t[-1]
-    except (ValueError, UnicodeDecodeError):
+    except ValueError:   # a UnicodeDecodeError too
         return None
     if start is None:
         return None
-    mv, dt = np.concatenate(mv), np.concatenate(dt)
-    if len(mv) < 2 or np.any(dt <= 0):
-        return None
-    step = float(np.median(dt, overwrite_input=True))   # reorders dt: the check is order-free
-    dt -= step
-    if np.any(np.abs(dt, out=dt) > MAX_DT_DEVIATION * step) or not 0.5 < 1.0 / step < 2 ** 31:
-        return None
-    return EcgRecord(patient_id=patient_id, sampling_rate_hz=round(1.0 / step), samples=mv)
+    mv = np.concatenate(mv)
+    return mv, np.concatenate(dt), bad
+
+
+def _record(mv: np.ndarray, dt: np.ndarray, bad: int | None,
+            row_line: Callable[[int], int], patient_id: str) -> EcgRecord:
+    """The record of the mv column, after the checks that follow reading:
+    dt holds the time steps between rows, bad the first row with a
+    non-finite value (or None), and row_line(i) names data row i's line."""
+    if bad is not None:
+        raise DataError(f"record CSV line {row_line(bad)} holds a non-finite value")
+    if len(mv) < 2:
+        raise DataError("record CSV needs at least two rows to infer a sampling rate")
+    if np.any(dt <= 0):
+        raise DataError("record CSV time column must be strictly increasing")
+    step = float(np.median(dt))
+    deviation = dt - step
+    if np.any(np.abs(deviation, out=deviation) > MAX_DT_DEVIATION * step):
+        worst = int(np.argmax(deviation))
+        raise DataError(
+            f"non-uniform sampling: step {dt[worst]:.6g}s to line {row_line(worst + 1)} "
+            f"deviates >1% from median {step:.6g}s"
+        )
+    rate = 1.0 / step
+    if not 0.5 < rate < 2 ** 31:
+        raise DataError(f"inferred sampling rate {rate:.6g} Hz does not round to a positive integer")
+    return EcgRecord(patient_id=patient_id, sampling_rate_hz=round(rate), samples=mv)
 
 
 def parse_csv(data: bytes | str | RecordFile, patient_id: str = "unknown") -> EcgRecord:
@@ -187,8 +199,9 @@ def parse_csv(data: bytes | str | RecordFile, patient_id: str = "unknown") -> Ec
     points at a row names its 1-based line in the file.
 
     The input is read and parsed in blocks of about BLOCK_BYTES, so a
-    RecordFile is never resident whole.  If any check fails, the input is
-    read whole again and parsed in one reader call, which names the error.
+    RecordFile is never resident whole.  If the reader rejects a block, or
+    the input holds a quote, it is read whole again and parsed in one reader
+    call; an error found after reading rereads the input to name its line.
     """
     if isinstance(data, str):   # a lone surrogate becomes bytes that fail to decode below
         data = data.encode(errors="surrogatepass")
@@ -196,13 +209,20 @@ def parse_csv(data: bytes | str | RecordFile, patient_id: str = "unknown") -> Ec
         read, whole = io.BytesIO(data).read, lambda: data
     else:
         read, whole = data.read, data.reread
-    record = _block_record(_blocks(read), patient_id)
-    return record if record is not None else _parse_whole(whole(), patient_id)
+    columns = _block_columns(_blocks(read))
+    if columns is None:
+        return _parse_whole(whole(), patient_id)
+
+    def row_line(row: int) -> int:
+        text = whole()
+        return _row_line(text, _first_data_line(text), row)
+
+    return _record(*columns, row_line, patient_id)
 
 
 def _parse_whole(data: bytes, patient_id: str) -> EcgRecord:
     """parse_csv over the whole input in one reader call: the reference that
-    names each error's line."""
+    names a rejected line."""
     try:
         start = _first_data_line(data)
         if start is None:
@@ -215,28 +235,8 @@ def _parse_whole(data: bytes, patient_id: str) -> EcgRecord:
         line, text = _rejected_line(data, start)
         text = text.rstrip(b"\r\n")[:80]
         raise DataError(f"record CSV has a malformed row at line {line}: {text!r}") from exc
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if len(bad):
-        raise DataError(f"record CSV line {_row_line(data, start, bad[0])} "
-                        f"holds a non-finite value")
-    t, mv = values[:, 0], values[:, 1]
-    if len(t) < 2:
-        raise DataError("record CSV needs at least two rows to infer a sampling rate")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise DataError("record CSV time column must be strictly increasing")
-    step = float(np.median(dt))
-    if np.any(np.abs(dt - step) > MAX_DT_DEVIATION * step):
-        worst = int(np.argmax(np.abs(dt - step)))
-        raise DataError(
-            f"non-uniform sampling: step {dt[worst]:.6g}s to line "
-            f"{_row_line(data, start, worst + 1)} "
-            f"deviates >1% from median {step:.6g}s"
-        )
-    rate = 1.0 / step
-    if not 0.5 < rate < 2 ** 31:
-        raise DataError(f"inferred sampling rate {rate:.6g} Hz does not round to a positive integer")
-    return EcgRecord(patient_id=patient_id, sampling_rate_hz=round(rate), samples=mv)
+    return _record(values[:, 1], np.diff(values[:, 0]), _first_bad_row(values),
+                   lambda row: _row_line(data, start, row), patient_id)
 
 
 def serialize_csv(record: EcgRecord) -> str:

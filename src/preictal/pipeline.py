@@ -38,9 +38,10 @@ from .evaluation import (classify_alarm_intervals, count_confusion,
                          interictal_hours, metrics, seizure_outcomes)
 from .features import (apply_normalization, extract_features, feature_shape, fit_normalization,
                        rows_per_call)
-from .ingest import (EcgRecord, RecordFile, load_annotations, parse_csv, parse_edf,
+from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
+from .ingest.text import RecordFile
 from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
 from .models.training import MODEL_KEYS, SCORE_BATCH, score
 from .nn import dump_arrays, load_arrays

@@ -1,7 +1,9 @@
 """The syntax `parse_csv` accepts: numbers as Python's `float()` reads them,
 an optional header, quoting, CRLF and extra columns; rows it rejects name
 their line in the file."""
+import io
 import re
+import time
 import warnings
 
 import numpy as np
@@ -147,9 +149,10 @@ def _parses_as_one(data: bytes, block_bytes: int):
         assert _outcome(parse_csv, data) == whole
 
 
-# reads end inside the header, quoted fields (some spanning lines), CRLF
-# ends and runs of blank lines; the quote after a literal one (a"b) opens
-# a field that holds the next line, so the record is sampled at 4 Hz
+# reads end inside the header, CRLF ends and runs of blank lines; inputs
+# with quoted fields (some spanning lines) are parsed whole; the quote
+# after a literal one (a"b) opens a field that holds the next line, so the
+# record is sampled at 4 Hz
 BLOCK_CASES = ACCEPTED + MALFORMED + [
     ROWS.replace("\n", "\n\n\n\n"),
     ROWS.replace("0.125,-2\n", '"0.125","-2","a\n,b\n""c"""\n'),
@@ -180,3 +183,21 @@ CELLS = st.sampled_from(["0", "0.125", "-2", "3e-3", "1_0", "inf", "x", "", " ",
 def test_blocks_of_any_size_parse_as_one(rows, end, block_bytes):
     lines = [f"{i / 8!r},{','.join(cells)}" for i, cells in enumerate(rows)]
     _parses_as_one(("time_s,mv" + end + end.join(lines) + end).encode("latin-1"), block_bytes)
+
+
+def test_blocks_stop_reading_at_the_first_quote(monkeypatch):
+    monkeypatch.setattr(csv_text, "BLOCK_BYTES", 4)
+    data = io.BytesIO(b'0,1.5,a"b\n' + b"0.125,-2\n" * 1000)
+    with pytest.raises(ValueError):
+        list(csv_text._blocks(data.read))
+    assert data.tell() == 8
+
+
+def test_a_long_line_is_read_in_linear_time(monkeypatch):
+    # 2 MiB without a line break in 64-byte reads: growing one buffer per
+    # read would copy about 34 GB
+    monkeypatch.setattr(csv_text, "BLOCK_BYTES", 64)
+    text = ROWS.replace("\n", "\r").encode() * (1 << 16)
+    began = time.perf_counter()
+    assert list(csv_text._blocks(io.BytesIO(text).read)) == [text]
+    assert time.perf_counter() - began < 5
