@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """The staged pipeline end-to-end on a generated record: write the fixture,
-run `all`, then show the cache behavior and the emitted artifacts."""
+run `all`, then show the cache behavior (with why each stage last ran) and the
+emitted artifacts."""
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 from preictal.ingest import (SyntheticEvent, SyntheticSpec, generate_synthetic,
                              serialize_annotations, serialize_csv)
+from preictal.pipeline import STAGES
 
 work = Path(tempfile.mkdtemp(prefix="preictal-demo-"))
 print(f"working in {work}")
@@ -46,11 +48,16 @@ print("running every stage:")
 cli("all")
 print("running again (all stages cached):")
 cli("all")
+print("running with k = 3 (only evaluate and report re-run):")
+with (work / "run.cfg").open("a") as f:
+    f.write("k = 3\n")
+cli("all")
 
 manifest = json.loads((work / "out" / "manifest.json").read_text())
-print("stage wall-clock seconds:")
-for stage, entry in manifest["stages"].items():
-    print(f"  {stage:10s} {entry['wall_clock_s']:8.3f}s")
+print("stage wall-clock seconds, and why each stage last ran:")
+for stage in STAGES:
+    entry = manifest["stages"][stage]
+    print(f"  {stage:10s} {entry['wall_clock_s']:8.3f}s  {entry['reason']}")
 
 evaluation = json.loads((work / "out" / "evaluation.json").read_text())
 print("threshold:", {k: round(v, 5) for k, v in evaluation["threshold"].items()})

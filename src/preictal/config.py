@@ -56,10 +56,6 @@ class PipelineConfig:
     # output
     out: str = "runs/out"
 
-    def require_inputs(self):
-        if not self.record:
-            raise ConfigError("config key 'record' is required")
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}   # the config keys
 

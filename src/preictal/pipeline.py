@@ -1,38 +1,27 @@
 """Staged end-to-end pipeline with cached intermediates.
 
 Stages: convert -> preprocess -> extract -> train -> score -> evaluate ->
-report.  Each stage writes its artifacts into the output directory and
-records a cache key and the sha256 of each output in manifest.json.  The key
-hashes only what the stage reads (STAGE_IO), so a stage re-runs only when an
-output is missing or changed, or something it reads changed.  A stage run on
-its own refuses an input that differs from the sha256 its producer recorded.
-A re-run hashes the recorded artifacts it checks, and the record and
-annotation files, once each, concurrently, before the first stage; only a
-convert that re-runs reads the record and annotation files' bytes.
-With a fixed config and seed every artifact byte is reproducible, so deleting
-an intermediate and re-running `all` regenerates it bit-identically.
+report.  `Pipeline` holds the stage bodies and one reader per artifact; its
+`StageCache` (stagecache.py) decides which stages re-run and writes their
+artifacts.  With a fixed config and seed every artifact byte is reproducible,
+so deleting an intermediate and re-running `all` regenerates it bit-identically.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .blocks import fan_out, row_blocks
 from .cache import (FeatureLayout, dump_features, dump_segments, load_features,
                     load_segment_index, load_segments, read_feature_rows, read_features_layout)
 from .config import PipelineConfig, stage_settings
-from .errors import ConfigError, DataError, is_json_number
+from .errors import DataError, is_json_number
 from .evaluation import (classify_alarm_intervals, count_confusion,
                          default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
@@ -41,64 +30,16 @@ from .features import (apply_normalization, extract_features, feature_shape, fit
 from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
-from .ingest.text import RecordFile
-from .models import TrainPlan, build, dump_trained, load_trained, select_baseline, train
+from .models import build, dump_trained, load_trained, select_baseline, train
 from .models.training import MODEL_KEYS, SCORE_BATCH, score
 from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentIndex, SegmentSet, label_phases, lowpass, segment
 from .report import render_report_svg
+from .stagecache import PRODUCER, STAGE_IO, STAGES, StageCache   # STAGE_IO: for importers
 
-
-class StageIO(NamedTuple):
-    fields: tuple[str, ...]   # PipelineConfig fields the stage reads
-    reads: tuple[str, ...]    # artifacts it reads
-    writes: tuple[str, ...]   # artifacts it must produce
-
-
-_TRAIN_PLAN = tuple(f.name for f in fields(TrainPlan))   # each is a PipelineConfig field
-
-STAGE_IO = {
-    "convert": StageIO(("record", "annotations", "channel", "patient_id"),
-                       (), ("record.npy", "record.json", "annotations.csv")),
-    "preprocess": StageIO(("cutoff_hz", "filter_order", "zero_phase", "window_s", "overlap_s",
-                           "preictal_len_s", "postictal_len_s"),
-                          ("record.npy", "record.json", "annotations.csv"), ("segments.bin",)),
-    "extract": StageIO(("representation",), ("segments.bin",), ("features.bin",)),
-    "train": StageIO(("architecture", "representation") + _TRAIN_PLAN,
-                     ("record.json", "segments.bin", "features.bin"),
-                     ("model.params", "model.json", "baseline.json")),
-    "score": StageIO(("representation",),
-                     ("features.bin", "model.params", "model.json", "baseline.json"),
-                     ("scores.params",)),
-    "evaluate": StageIO(("smoothing_w", "k", "preictal_len_s", "postictal_len_s",
-                         "refractory_gap_s"),
-                        ("record.json", "annotations.csv", "segments.bin", "scores.params"),
-                        ("evaluation.json", "errors.csv")),
-    "report": StageIO(("smoothing_w", "architecture", "representation", "window_s"),
-                      ("annotations.csv", "segments.bin", "scores.params", "evaluation.json"),
-                      ("metrics.json", "metrics.csv", "report.svg")),
-}
-STAGES = tuple(STAGE_IO)
-_PRODUCER = {name: stage for stage, io in STAGE_IO.items() for name in io.writes}
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-@contextmanager
-def _reading(what: str, name: str):
-    """Raise an OSError from within the block as a DataError naming the file."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {name}: {exc}") from exc
-
-
-def _decode(data: bytes, what: str) -> str:
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{what} file is not UTF-8: {exc}") from exc
 
 
 _MISSING = object()
@@ -131,162 +72,12 @@ def _positive(value) -> bool:
     return _number(value) and value > 0
 
 
-def _recorded(manifest: dict, name: str):
-    """The sha256 of an artifact its producer recorded in the manifest, or None."""
-    return manifest["stages"].get(_PRODUCER[name], {}).get("outputs", {}).get(name)
-
-
-def _sha256(path: Path) -> str:
-    """The file's sha256, read through a buffer of this call's own, so calls
-    on several threads share nothing."""
-    h, buf = hashlib.sha256(), bytearray(1 << 20)
-    view = memoryview(buf)
-    with path.open("rb") as f:
-        while n := f.readinto(buf):
-            h.update(view[:n])
-    return h.hexdigest()
-
-
-def _file_sha256(path: Path) -> str | None:
-    """An artifact's sha256, or None when it does not exist."""
-    return _sha256(path) if path.exists() else None
-
-
-def _size(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0
-
-
-def _source_sha256(path: Path) -> str | None:
-    """A record or annotation file's sha256, or None when it cannot be read:
-    convert then re-runs and reports why."""
-    try:
-        return _sha256(path)
-    except OSError:
-        return None
-
-
 class Pipeline:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.settings = stage_settings(cfg)
         self.out = Path(cfg.out)
-        self.manifest_path = self.out / "manifest.json"
-        self._hashes: dict[str, str | None] = {}   # each artifact's sha256 as the file is now
-        # the record's and annotations' sha256, as hashed up front or as convert parsed them
-        self._sources: list[str | None] = []
-
-    # ---- manifest / caching ----------------------------------------------
-
-    def _load_manifest(self) -> dict:
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except (FileNotFoundError, ValueError):   # ValueError: cut short or not UTF-8
-            manifest = None
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
-            manifest = {"stages": {}}   # absent or unusable: every stage re-runs
-        # an entry that is not an object with an outputs object re-runs its stage
-        stages = {name: entry for name, entry in manifest["stages"].items()
-                  if isinstance(entry, dict) and isinstance(entry.get("outputs"), dict)}
-        return {"stages": stages, "toolkit_version": __version__}
-
-    def _save_manifest(self, manifest: dict):
-        # written aside and renamed, so a crash never leaves half a manifest;
-        # no indent, so json's C encoder writes it (the manifest holds wall
-        # times, so no byte of it is reproducible anyway)
-        tmp = self.out / "manifest.json.tmp"
-        tmp.write_text(json.dumps(manifest, sort_keys=True) + "\n")
-        os.replace(tmp, self.manifest_path)
-
-    def _source_files(self) -> list[tuple[str, str]]:
-        """(what, path) of the record file, then of the annotation file when
-        one is set."""
-        self.cfg.require_inputs()
-        return [(what, name) for what, name in (("record", self.cfg.record),
-                                                ("annotations", self.cfg.annotations)) if name]
-
-    @contextmanager
-    def _read_inputs(self):
-        """The record file open for reading, as a RecordFile, and a list of the
-        annotation file's bytes, empty when none is set."""
-        (what, name), *annotation_file = self._source_files()
-        with _reading(what, name), Path(name).open("rb") as f:
-            annotations = []
-            for file in annotation_file:
-                with _reading(*file):
-                    annotations.append(Path(file[1]).read_bytes())
-            yield RecordFile(f), annotations
-
-    def _digest(self, name: str) -> str | None:
-        """An artifact's sha256 as the file is now, hashed once per run."""
-        if name not in self._hashes:
-            self._hashes[name] = _file_sha256(self.out / name)
-        return self._hashes[name]
-
-    def _input_digest(self, name: str, manifest: dict) -> str | None:
-        """An input's sha256, which must still be the bytes its producer
-        recorded in the manifest."""
-        producer, recorded = _PRODUCER[name], _recorded(manifest, name)
-        digest = self._digest(name)
-        if digest and recorded and digest != recorded:
-            raise DataError(f"artifact {name!r} changed after the '{producer}' stage "
-                            f"wrote it; re-run '{producer}'")
-        return digest
-
-    def _stage_key(self, stage: str, input_digests: list) -> str:
-        io = STAGE_IO[stage]
-        inputs = [__version__, stage, {f: getattr(self.cfg, f) for f in io.fields},
-                  input_digests]
-        if stage == "convert":
-            inputs.append(self._sources)
-        return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
-
-    def _digests(self, stage: str) -> dict[str, str | None]:
-        return {name: self._digest(name) for name in STAGE_IO[stage].writes}
-
-    def _hash_recorded(self, manifest: dict, names: list[str]):
-        """Hash, concurrently and largest first, each artifact that the
-        manifest records and that stages `names` read or write.
-
-        A stage whose key, from the config and the recorded input digests,
-        is not its recorded key re-runs whatever its files hold: its outputs,
-        and those of every stage reading them, are left out and hashed once
-        written.  Convert's key also covers the record and annotation files,
-        hashed in the same fan-out, so convert counts as cached here; on a
-        first convert, with no key recorded, they are left to the stage."""
-        fresh: set[str] = set()   # artifacts this run is bound to write anew
-        for stage in names:
-            io = STAGE_IO[stage]
-            if stage != "convert" and (
-                    fresh.intersection(io.reads)
-                    or manifest["stages"].get(stage, {}).get("key") != self._stage_key(
-                        stage, [_recorded(manifest, name) for name in io.reads])):
-                fresh.update(io.writes)
-        wanted = {name for stage in names for name in STAGE_IO[stage].reads + STAGE_IO[stage].writes
-                  if _recorded(manifest, name) and name not in fresh}
-        paths = [self.out / name for name in wanted]
-        if "convert" in names and "convert" in manifest["stages"]:
-            sources = [Path(name) for _, name in self._source_files()]
-        else:
-            sources = []
-        files = paths + sources
-        order = sorted(range(len(files)), key=lambda i: _size(files[i]), reverse=True)
-
-        def hash_file(lo, hi):
-            i = order[lo]
-            return (_file_sha256 if i < len(paths) else _source_sha256)(files[i])
-
-        digests = dict(zip(order, fan_out(hash_file, row_blocks(len(files), 1), 1)))
-        self._hashes = {path.name: digests[i] for i, path in enumerate(paths)}
-        self._sources = [digests[i] for i in range(len(paths), len(files))]
-
-    def _require(self, name: str) -> Path:
-        path = self.out / name
-        if not path.exists():
-            raise DataError(f"missing artifact {name!r}; run the '{_PRODUCER[name]}' stage first")
-        return path
+        self.cache = StageCache(cfg)
 
     def run(self, subcommand: str) -> dict:
         """Run one stage (with cache checks) or `all`; returns the manifest."""
@@ -296,34 +87,22 @@ class Pipeline:
             names = [subcommand]
         else:
             raise DataError(f"unknown stage {subcommand!r} (choose from {STAGES + ('all',)})")
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot use output directory {self.out}: {exc}") from exc
-        manifest = self._load_manifest()
-        self._hash_recorded(manifest, names)
-        for name in names:
-            io = STAGE_IO[name]
-            digests = [self._input_digest(read, manifest) for read in io.reads]
-            key = self._stage_key(name, digests)
-            entry = manifest["stages"].get(name, {})
-            if entry.get("key") == key and entry.get("outputs") == self._digests(name):
-                continue
-            for written in io.writes:
-                self._hashes.pop(written, None)
-            t0 = time.perf_counter()
-            getattr(self, f"stage_{name}")()
-            if name == "convert":   # keyed on the bytes it parsed
-                key = self._stage_key(name, digests)
-            manifest["stages"][name] = {
-                "key": key,
-                "wall_clock_s": round(time.perf_counter() - t0, 3),
-                "outputs": self._digests(name),
-            }
-            self._save_manifest(manifest)
-        return manifest
+        with self.cache.open(names):
+            for name in names:
+                reason = self.cache.check(name)
+                if reason is not None:
+                    t0 = time.perf_counter()
+                    getattr(self, f"stage_{name}")()
+                    self.cache.record(name, reason, time.perf_counter() - t0)
+        return self.cache.manifest
 
     # ---- artifact readers: one per artifact -------------------------------
+
+    def _require(self, name: str) -> Path:
+        path = self.out / name
+        if not path.exists():
+            raise DataError(f"missing artifact {name!r}; run the '{PRODUCER[name]}' stage first")
+        return path
 
     def _json(self, name: str, *keys: str, valid=None) -> dict:
         """A JSON artifact's top-level object, which must hold `keys` (see `_at`)
@@ -332,19 +111,19 @@ class Pipeline:
             value = json.loads(self._require(name).read_bytes())
         except ValueError as exc:   # not UTF-8, or not JSON
             raise DataError(f"artifact {name!r} is not valid JSON ({exc}); "
-                            f"re-run '{_PRODUCER[name]}'") from exc
+                            f"re-run '{PRODUCER[name]}'") from exc
         if not isinstance(value, dict):
             raise DataError(f"artifact {name!r} holds a JSON {type(value).__name__}, not an "
-                            f"object; re-run '{_PRODUCER[name]}'")
+                            f"object; re-run '{PRODUCER[name]}'")
         valid = valid or {}
         missing = [key for key in (*keys, *valid) if _at(value, key) is _MISSING]
         if missing:
             raise DataError(f"artifact {name!r} lacks {', '.join(missing)}; "
-                            f"re-run '{_PRODUCER[name]}'")
+                            f"re-run '{PRODUCER[name]}'")
         wrong = [key for key, check in valid.items() if not check(_at(value, key))]
         if wrong:
             raise DataError(f"artifact {name!r} holds an invalid {', '.join(wrong)}; "
-                            f"re-run '{_PRODUCER[name]}'")
+                            f"re-run '{PRODUCER[name]}'")
         return value
 
     def _record_meta(self) -> dict:
@@ -395,23 +174,22 @@ class Pipeline:
     # ---- stages -------------------------------------------------------------
 
     def stage_convert(self):
-        with self._read_inputs() as (source, inputs):
+        with self.cache.read_sources() as (source, inputs):
             if Path(self.cfg.record).suffix.lower() == ".edf":
                 record = parse_edf(source.read(), self.cfg.channel)
             else:   # read in blocks, each hashed as it is read
                 record = parse_csv(source, patient_id=self.cfg.patient_id or "unknown")
-        self._sources = [source.sha256.hexdigest()] + [hashlib.sha256(data).hexdigest()
-                                                       for data in inputs]
-        annotations = load_annotations(_decode(inputs.pop(), "annotations")) if inputs else []
+        annotations = load_annotations(inputs.pop()) if inputs else []
         record = replace(record, patient_id=self.cfg.patient_id or record.patient_id,
                          annotations=annotations)
-        np.save(self.out / "record.npy", record.samples)
-        (self.out / "record.json").write_text(_json_dumps({
+        with self.cache.writing("record.npy") as f:
+            np.save(f, record.samples)
+        self.cache.write("record.json", _json_dumps({
             "patient_id": record.patient_id,
             "sampling_rate_hz": record.sampling_rate_hz,
             "duration_s": record.duration_s,
         }))
-        (self.out / "annotations.csv").write_text(serialize_annotations(annotations))
+        self.cache.write("annotations.csv", serialize_annotations(annotations))
 
     def stage_preprocess(self):
         meta, anns = self._record_meta(), self._annotations()
@@ -424,7 +202,7 @@ class Pipeline:
         segments = label_phases(segment(filtered, seg_cfg), anns,
                                 preictal_len_s=self._preictal_len_s(meta),
                                 postictal_len_s=self.settings.evaluation.postictal_len_s)
-        (self.out / "segments.bin").write_bytes(dump_segments(segments))
+        self.cache.write("segments.bin", dump_segments(segments))
 
     # Extract and score fan out once over the whole record (`blocks.fan_out`),
     # in blocks of one transform call or one score batch, so a long record's
@@ -436,22 +214,19 @@ class Pipeline:
         segments, rep = self._segments(), self.cfg.representation
         window = segments.config.window_samples
         layout = FeatureLayout(rep, feature_shape(rep, window), len(segments))
-        # written aside and renamed once whole: a failed run leaves no features.bin
-        # of the full size with rows never written
-        path = self.out / "features.bin.tmp"
-        with path.open("wb") as f:
-            f.write(layout.header)
-            f.truncate(layout.offset + layout.count * layout.row_bytes)
-
-        def run(lo, hi):
-            feats = dump_features(extract_features(segments.rows(lo, hi), rep), rep, header=False)
-            with path.open("r+b") as f:
-                f.seek(layout.offset + lo * layout.row_bytes)
-                f.write(feats)
-
         rows = rows_per_call(rep, window)
-        fan_out(run, row_blocks(len(segments), rows), rows)
-        os.replace(path, self.out / "features.bin")
+        with self.cache.writing("features.bin") as out:
+            out.write(layout.header)
+            out.truncate(layout.offset + layout.count * layout.row_bytes)
+
+            def run(lo, hi):
+                feats = dump_features(extract_features(segments.rows(lo, hi), rep), rep,
+                                      header=False)
+                with open(out.name, "r+b") as f:
+                    f.seek(layout.offset + lo * layout.row_bytes)
+                    f.write(feats)
+
+            fan_out(run, row_blocks(len(segments), rows), rows)
 
     def stage_train(self):
         segments, plan = self._segment_index(), self.settings.train
@@ -473,9 +248,9 @@ class Pipeline:
         trained = train(spec, inputs, stats, plan)
 
         blob, manifest_json = dump_trained(trained)
-        (self.out / "model.params").write_bytes(blob)
-        (self.out / "model.json").write_text(manifest_json + "\n")
-        (self.out / "baseline.json").write_text(_json_dumps({
+        self.cache.write("model.params", blob)
+        self.cache.write("model.json", manifest_json + "\n")
+        self.cache.write("baseline.json", _json_dumps({
             "n_train": int(len(train_idx)),
             "n_test": int(len(test_idx)),
             "train_end_index": int(train_idx[-1]) if len(train_idx) else -1,
@@ -505,7 +280,7 @@ class Pipeline:
             "test_indices": np.arange(n_train, layout.count, dtype=np.float64),
             "test_errors": all_errors[n_train:],
         }
-        (self.out / "scores.params").write_bytes(dump_arrays(arrays, "scores"))
+        self.cache.write("scores.params", dump_arrays(arrays, "scores"))
 
     def stage_evaluate(self):
         segments, meta, anns = self._segment_index(), self._record_meta(), self._annotations()
@@ -540,8 +315,8 @@ class Pipeline:
             mean_prediction_time_min=(float(np.mean(times_min)) if times_min else None),
         )
 
-        (self.out / "errors.csv").write_text(export_csv(test_raw, test_smooth, flags))
-        (self.out / "evaluation.json").write_text(_json_dumps({
+        self.cache.write("errors.csv", export_csv(test_raw, test_smooth, flags))
+        self.cache.write("evaluation.json", _json_dumps({
             "patient_id": meta["patient_id"],
             "threshold": asdict(threshold) | {"tau": threshold.tau},
             "smoothing_w": w,
@@ -568,7 +343,7 @@ class Pipeline:
         patient_id = evaluation["patient_id"]
 
         result = evaluation["metrics"]
-        (self.out / "metrics.json").write_text(_json_dumps({
+        self.cache.write("metrics.json", _json_dumps({
             "patient_id": patient_id,
             "metrics": result,
             "confusion": evaluation["confusion"],
@@ -576,8 +351,7 @@ class Pipeline:
         }))
         header = ["patient_id"] + sorted(result)
         row = [patient_id] + [_csv_cell(result[k]) for k in sorted(result)]
-        (self.out / "metrics.csv").write_text(
-            ",".join(header) + "\n" + ",".join(row) + "\n")
+        self.cache.write("metrics.csv", ",".join(header) + "\n" + ",".join(row) + "\n")
 
         test_raw = series_from_errors(test_err, test_idx)
         test_smooth = smooth(test_raw, self.cfg.smoothing_w)
@@ -589,7 +363,7 @@ class Pipeline:
             preictal_len_s=evaluation["eval_config"]["preictal_len_s"],
             title=(f"{patient_id}: {self.cfg.architecture} / "
                    f"{self.cfg.representation}, {self.cfg.window_s}s windows"))
-        (self.out / "report.svg").write_text(svg)
+        self.cache.write("report.svg", svg)
 
 
 def _csv_cell(value) -> str:

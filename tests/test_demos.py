@@ -1,5 +1,5 @@
-"""The quick demos run to completion against the library in src/.  Demos 03
-and 04 train models for tens of seconds and are left out."""
+"""The demos run to completion against the library in src/.  Demo 03 trains
+models for tens of seconds and is left out; demo 04 takes about 15 s."""
 import os
 import subprocess
 import sys
@@ -10,9 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_synthetic_ecg.py", "02_representations.py"])
+@pytest.mark.parametrize("demo", ["01_synthetic_ecg.py", "02_representations.py",
+                                  "04_full_pipeline.py"])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,

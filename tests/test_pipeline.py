@@ -19,8 +19,9 @@ from preictal.models.training import SCORE_BATCH
 from preictal.ingest import serialize_annotations, serialize_csv
 from preictal.ingest import text as csv_text
 from preictal.nn import dump_arrays, load_arrays
-from preictal import pipeline
+from preictal import pipeline, stagecache
 from preictal.pipeline import STAGE_IO, STAGES, Pipeline, run
+from preictal.stagecache import StageCache
 
 CONFIG_TEMPLATE = """
 record = {record}
@@ -150,7 +151,7 @@ def test_truncated_manifest_reruns_every_stage(completed_run, fixture_files, tmp
         assert sorted(stages) == sorted(STAGES)
         assert all(isinstance(entry, dict) for entry in stages.values())
     (tmp_path / "manifest.json").write_text("[]")   # aside, so the shared run stays whole
-    assert Pipeline(replace(cfg, out=str(tmp_path)))._load_manifest()["stages"] == {}
+    assert Pipeline(replace(cfg, out=str(tmp_path))).cache._load_manifest()["stages"] == {}
 
 
 def test_missing_upstream_names_stage(fixture_files):
@@ -298,6 +299,51 @@ def test_failed_extract_leaves_no_features_file(completed_run, tmp_path, monkeyp
     with pytest.raises(DataError, match="extraction failed"):
         Pipeline(replace(cfg, out=str(alone))).run("extract")
     assert not (alone / "features.bin").exists()
+    assert [p.name for p in alone.iterdir()] == ["segments.bin"]   # no temporary file left
+
+
+def test_rerun_records_why_each_stage_ran(completed_run, fixture_files, tmp_path):
+    root, record, annotations = fixture_files
+    out = tmp_path / "out"
+    shutil.copytree(completed_run[0], out)
+    cfg = validate_config((CONFIG_TEMPLATE + "k = 3\n").format(
+        record=record, annotations=annotations, out=out))
+    before = json.loads((out / "manifest.json").read_text())["stages"]
+    after = run("all", cfg)["stages"]
+    assert after["evaluate"]["reason"] == "config or inputs changed since the entry was written"
+    assert after["report"]["reason"] == "input 'evaluation.json' rewritten in this run"
+    assert {stage: after[stage] for stage in STAGES[:5]} == \
+        {stage: before[stage] for stage in STAGES[:5]}   # convert to score did not re-run
+    (out / "errors.csv").write_bytes(b"")
+    assert run("all", cfg)["stages"]["evaluate"]["reason"] == \
+        "output 'errors.csv' missing or changed"
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["stages"]["score"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run("all", cfg)["stages"]["score"]["reason"] == "no cached entry"
+
+
+def test_locked_output_directory_exits_3(completed_run, fixture_files, tmp_path, capsys):
+    fcntl = pytest.importorskip("fcntl")
+    root, record, annotations = fixture_files
+    out = tmp_path / "out"
+    shutil.copytree(completed_run[0], out)
+    config = tmp_path / "run.cfg"
+    config.write_text((CONFIG_TEMPLATE + "k = 3\n").format(   # evaluate and report would run
+        record=record, annotations=annotations, out=out))
+    files = sorted(os.listdir(out))
+    before = json.loads((out / "manifest.json").read_text())["stages"]
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)   # as another run holds it
+        for command in ("all", "evaluate"):
+            assert main([command, "--config", str(config)]) == 3
+            assert "output directory in use by another run" in capsys.readouterr().err
+    finally:
+        os.close(fd)
+    assert json.loads((out / "manifest.json").read_text())["stages"] == before
+    assert sorted(os.listdir(out)) == files   # the lock put no file in the directory
+    assert main(["all", "--config", str(config)]) == 0   # closing the descriptor released it
 
 
 def test_warm_rerun_hashes_each_artifact_at_most_once(completed_run, fixture_files,
@@ -307,14 +353,15 @@ def test_warm_rerun_hashes_each_artifact_at_most_once(completed_run, fixture_fil
     shutil.copytree(completed_run[0], out)
     before = json.loads((out / "manifest.json").read_text())["stages"]
     hashed, threads = [], set()
-    file_sha256 = pipeline._file_sha256
+    file_sha256 = stagecache._file_sha256
 
     def counting(path):
-        hashed.append(path.name)
-        threads.add(threading.current_thread().name)
+        if path.parent == out:   # not the record and annotation files
+            hashed.append(path.name)
+            threads.add(threading.current_thread().name)
         return file_sha256(path)
 
-    monkeypatch.setattr(pipeline, "_file_sha256", counting)
+    monkeypatch.setattr(stagecache, "_file_sha256", counting)
     monkeypatch.setattr(blocks, "cpu_count", lambda: 2)
     text = re.sub(r"^k = .*\n", "", CONFIG_TEMPLATE, flags=re.M) + "k = 3\n"
     after = run("all", validate_config(text.format(record=record, annotations=annotations,
@@ -341,7 +388,7 @@ def test_edited_record_reruns_convert(fixture_files, tmp_path, monkeypatch):
 
     def cached_run():
         with monkeypatch.context() as m:
-            m.setattr(Pipeline, "_read_inputs", refuse)
+            m.setattr(StageCache, "read_sources", refuse)
             run("convert", cfg)
 
     run("convert", cfg)
@@ -353,14 +400,14 @@ def test_edited_record_reruns_convert(fixture_files, tmp_path, monkeypatch):
     cached_run()
     # an edit after the up-front hash: convert is keyed on the bytes it parsed
     source.write_text(original)
-    hash_recorded = Pipeline._hash_recorded
+    hash_ahead = StageCache._hash_ahead
 
     def edit_after_hashing(self, *args):
-        hash_recorded(self, *args)
+        hash_ahead(self, *args)
         source.write_text(edited)
 
     with monkeypatch.context() as m:
-        m.setattr(Pipeline, "_hash_recorded", edit_after_hashing)
+        m.setattr(StageCache, "_hash_ahead", edit_after_hashing)
         run("convert", cfg)
     assert np.load(npy)[-1] != samples[-1]
     cached_run()
@@ -374,7 +421,7 @@ def test_convert_records_the_whole_files_sha256(fixture_files, tmp_path, monkeyp
     monkeypatch.setattr(csv_text, "BLOCK_BYTES", block_bytes)
     p = Pipeline(config_for(root, record, annotations, tmp_path / "out"))
     p.run("convert")
-    assert p._sources == [hashlib.sha256(path.read_bytes()).hexdigest()
+    assert [p.cache._hashes[name] for name in ("record", "annotations")] == [hashlib.sha256(path.read_bytes()).hexdigest()
                           for path in (record, annotations)]
 
 
