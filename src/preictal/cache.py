@@ -1,9 +1,10 @@
 """Chunked binary caches for segment sets and feature tensors.
 
 Both formats are little-endian with a fixed header followed by one chunk per
-item; byte layouts are documented in docs/formats.md.  A feature cache's
-rows have a fixed stride, so each block of rows can be written or read at
-its own offset, and a long record's feature tensor is never resident whole.
+item; byte layouts are documented in docs/formats.md.  The rows of either
+have a fixed stride, so each block of rows can be written or read at its own
+offset, and neither a long record's segments nor its feature tensor is ever
+resident whole.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
+from .blocks import row_blocks
 from .errors import ConfigError, DataError
 from .features import REPRESENTATIONS
 from .nn.params_io import MAX_NDIM, check_shape, unpack_header
@@ -22,12 +24,27 @@ from .preprocess import Phase, SegmentationConfig, SegmentIndex, SegmentSet
 SEGMENTS_MAGIC = b"ESG1"
 FEATURES_MAGIC = b"FTR1"
 VERSION = 1
+INDEX_BLOCK_BYTES = 1 << 19   # load_segment_index reads rows in blocks of about this size
 
 
 def _segment_dtype(window: int) -> np.dtype:
     """One ESG1 chunk: start sample, phase byte, 7 pad bytes, then the samples."""
     return np.dtype([("start", "<i8"), ("phase", "u1"), ("pad", "V7"),
                      ("samples", "<f8", (window,))])
+
+
+class SegmentLayout(NamedTuple):
+    """What an ESG1 header declares: the segmentation and the number of
+    rows (one chunk per segment)."""
+    config: SegmentationConfig
+    count: int
+
+    what = "segment cache"
+    offset = 24   # bytes before the first row
+
+    @property
+    def row_bytes(self) -> int:
+        return 16 + 8 * self.config.window_samples
 
 
 def dump_segments(segments: SegmentSet) -> bytearray:
@@ -45,9 +62,9 @@ def dump_segments(segments: SegmentSet) -> bytearray:
     return out
 
 
-def _segment_body(data: bytes) -> tuple[np.ndarray, SegmentationConfig]:
-    """The checked ESG1 chunks of data, as a structured view, and the
-    segmentation they were cut with."""
+def _segments_layout(data: bytes, size: int) -> SegmentLayout:
+    """The layout of the ESG1 header at the start of data, checked against
+    the size in bytes of the whole file."""
     if data[:4] != SEGMENTS_MAGIC:
         raise DataError(f"bad segment-cache magic {data[:4]!r}")
     (version, fs, window, hop, count), pos = unpack_header("<IIIII", data, 4, "segment cache")
@@ -62,25 +79,48 @@ def _segment_body(data: bytes) -> tuple[np.ndarray, SegmentationConfig]:
                                  sampling_rate_hz=fs)
     except ConfigError as exc:
         raise DataError(f"segment cache header: {exc}") from exc
-    expected = pos + count * (16 + 8 * window)
-    if len(data) != expected:
-        raise DataError(f"segment cache truncated: {len(data)} bytes, expected {expected}")
-    body = np.frombuffer(data, _segment_dtype(window), count=count, offset=pos)
+    layout = SegmentLayout(cfg, count)
+    expected = layout.offset + count * layout.row_bytes
+    if size != expected:
+        raise DataError(f"segment cache truncated: {size} bytes, expected {expected}")
+    return layout
+
+
+def _segment_rows(data, layout: SegmentLayout) -> np.ndarray:
+    """Whole ESG1 rows as a structured view of data, their phases checked."""
+    if len(data) % layout.row_bytes:
+        raise DataError(f"{len(data)} bytes are not whole segment rows of {layout.row_bytes}")
+    body = np.frombuffer(data, _segment_dtype(layout.config.window_samples))
     if np.any(body["phase"] > max(Phase)):
         raise DataError(f"segment cache holds a phase outside 0..{max(Phase):d}")
-    return body, cfg
+    return body
 
 
-def load_segment_index(data: bytes) -> SegmentIndex:
-    """The start samples, phases and segmentation of ESG1 bytes, with every
-    check of `load_segments`; the samples are never copied."""
-    body, cfg = _segment_body(data)
-    return SegmentIndex(body["start"], body["phase"], cfg)
+def read_segments_layout(f: BinaryIO) -> SegmentLayout:
+    """The checked layout of the ESG1 file open for reading in f."""
+    return _segments_layout(*_head(f, SegmentLayout.offset))
 
 
-def load_segments(data: bytes) -> SegmentSet:
-    body, cfg = _segment_body(data)
-    return SegmentSet(body["samples"], body["start"], body["phase"], cfg)
+def load_segments(data, layout: SegmentLayout | None = None) -> SegmentSet:
+    """Decode ESG1 bytes: a whole file, or, given the layout read from a
+    file's header, whole rows read from it."""
+    if layout is None:
+        layout = _segments_layout(data, len(data))
+        data = memoryview(data)[layout.offset:]
+    body = _segment_rows(data, layout)
+    return SegmentSet(body["samples"], body["start"], body["phase"], layout.config)
+
+
+def load_segment_index(f: BinaryIO) -> SegmentIndex:
+    """The start samples, phases and segmentation of the ESG1 file open for
+    reading in f, with every check of `load_segments`.  It reads the rows in
+    blocks of about INDEX_BLOCK_BYTES and keeps only those two fields."""
+    layout = read_segments_layout(f)
+    starts, phases = np.empty(layout.count, np.int64), np.empty(layout.count, np.int8)
+    for lo, hi in row_blocks(layout.count, max(1, INDEX_BLOCK_BYTES // layout.row_bytes)):
+        body = _segment_rows(read_rows(f, layout, lo, hi), layout)
+        starts[lo:hi], phases[lo:hi] = body["start"], body["phase"]
+    return SegmentIndex(starts, phases, layout.config)
 
 
 class FeatureLayout(NamedTuple):
@@ -89,6 +129,8 @@ class FeatureLayout(NamedTuple):
     representation: str
     item_shape: tuple[int, ...]
     count: int
+
+    what = "feature cache"
 
     @property
     def header(self) -> bytes:
@@ -150,20 +192,26 @@ def _features_layout(data: bytes, size: int) -> FeatureLayout:
     return layout
 
 
+def _head(f: BinaryIO, size: int) -> tuple[bytes, int]:
+    """The first size bytes of the file open for reading in f, and the size
+    in bytes of the whole file."""
+    whole = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    return f.read(size), whole
+
+
 def read_features_layout(f: BinaryIO) -> FeatureLayout:
     """The checked layout of the FTR1 file open for reading in f."""
-    size = os.fstat(f.fileno()).st_size
-    f.seek(0)
-    return _features_layout(f.read(_FEATURES_HEADER_MAX), size)
+    return _features_layout(*_head(f, _FEATURES_HEADER_MAX))
 
 
-def read_feature_rows(f: BinaryIO, layout: FeatureLayout, lo: int, hi: int) -> bytearray:
-    """The bytes of rows lo..hi-1 of an FTR1 file, read into a buffer of
-    their own: a block costs its own size, never the file's."""
+def read_rows(f: BinaryIO, layout: SegmentLayout | FeatureLayout, lo: int, hi: int) -> bytearray:
+    """The bytes of rows lo..hi-1 of an ESG1 or FTR1 file, read into a
+    buffer of their own: a block costs its own size, never the file's."""
     f.seek(layout.offset + lo * layout.row_bytes)
     data = bytearray((hi - lo) * layout.row_bytes)
     if f.readinto(data) != len(data):
-        raise DataError("feature cache shrank while it was read")
+        raise DataError(f"{layout.what} shrank while it was read")
     return data
 
 

@@ -20,7 +20,8 @@ ANNOTATION_HEADER = ("onset_s", "offset_s", "type")
 # per-row sample spacing may deviate at most this much from the median step
 MAX_DT_DEVIATION = 0.01
 # parse_csv reads a record in blocks of about this many bytes
-BLOCK_BYTES = 1 << 22
+BLOCK_BYTES = 1 << 19
+MIN_ROW_BYTES = 4   # "0,0\n": no shorter line holds a sample
 SERIALIZE_ROWS = 1 << 16   # serialize_csv formats this many rows per call
 
 
@@ -133,12 +134,17 @@ def _first_bad_row(values: np.ndarray) -> int | None:
     return int(bad[0]) if len(bad) else None
 
 
-def _block_columns(blocks: Iterator[bytes]) -> tuple[np.ndarray, np.ndarray, int | None] | None:
+def _block_columns(blocks: Iterator[bytes], size: int
+                   ) -> tuple[np.ndarray, np.ndarray, int | None] | None:
     """The mv column, the time steps between rows and the first row with a
-    non-finite value (or None) of a CSV read in blocks; None if the reader
-    rejects a block or no line holds samples: the whole-file parse then
-    names the error.  It keeps the mv column and the time steps, not the rows."""
-    head, start, mv, dt, last, rows, bad = b"", None, [], [], None, 0, None
+    non-finite value (or None) of a CSV of size bytes read in blocks; None
+    if the reader rejects a block or no line holds samples: the whole-file
+    parse then names the error.  It keeps the mv column and the time steps,
+    not the rows.  Each is written in place into an array with room for
+    every row that size bytes can hold, of which only the pages written
+    become resident, and is cut to the rows read at the end."""
+    mv, dt = np.empty(size // MIN_ROW_BYTES + 1), np.empty(size // MIN_ROW_BYTES + 1)
+    head, start, rows, last, bad = b"", None, 0, 0.0, None
     try:
         with warnings.catch_warnings():   # a block of blank lines holds no data
             warnings.simplefilter("ignore")
@@ -149,42 +155,49 @@ def _block_columns(blocks: Iterator[bytes]) -> tuple[np.ndarray, np.ndarray, int
                         continue
                     block, head = head, b""
                 values = _load_rows(block, skiprows=start)
-                start = 0
+                del block   # neither it nor its rows are held while the next is read
+                start, end, t = 0, rows + len(values), values[:, 0]
+                if end == rows:
+                    continue
                 if bad is None and (row := _first_bad_row(values)) is not None:
                     bad = rows + row
-                t = values[:, 0]
-                dt.append(np.diff(t) if last is None else np.diff(t, prepend=last))
-                mv.append(values[:, 1].copy())
-                rows += len(t)
-                if len(t):
-                    last = t[-1]
+                if end > len(mv):   # the file grew while it was read
+                    mv.resize(end, refcheck=False)
+                    dt.resize(end, refcheck=False)
+                mv[rows:end] = values[:, 1]
+                np.subtract(t[1:], t[:-1], out=dt[rows:end - 1])   # dt[i] = t[i + 1] - t[i]
+                if rows:
+                    dt[rows - 1] = t[0] - last
+                rows, last = end, t[-1]
+                del values, t
     except ValueError:   # a UnicodeDecodeError too
         return None
     if start is None:
         return None
-    mv = np.concatenate(mv)
-    return mv, np.concatenate(dt), bad
+    mv.resize(rows, refcheck=False)   # shrinking frees the unused tail in place
+    dt.resize(max(rows - 1, 0), refcheck=False)
+    return mv, dt, bad
 
 
-def _record(mv: np.ndarray, dt: np.ndarray, bad: int | None,
-            row_line: Callable[[int], int], patient_id: str) -> EcgRecord:
+def _record(mv: np.ndarray, dt: np.ndarray, bad: int | None, patient_id: str,
+            row_error: Callable[[int | None, float | None], EcgRecord]) -> EcgRecord:
     """The record of the mv column, after the checks that follow reading:
-    dt holds the time steps between rows, bad the first row with a
-    non-finite value (or None), and row_line(i) names data row i's line."""
+    dt holds the time steps between rows, which the checks overwrite, and
+    bad the first row with a non-finite value (or None).  A failed check
+    that names a row returns row_error(bad row or None, median step or
+    None), which raises the error with the row's line (or parses anew an
+    input that changed since it was read)."""
     if bad is not None:
-        raise DataError(f"record CSV line {row_line(bad)} holds a non-finite value")
+        return row_error(bad, None)
     if len(mv) < 2:
         raise DataError("record CSV needs at least two rows to infer a sampling rate")
-    if np.any(dt <= 0):
+    # reductions, not masks: every step is finite here
+    if dt.min() <= 0:
         raise DataError("record CSV time column must be strictly increasing")
-    step = float(np.median(dt))
-    deviation = dt - step
-    if np.any(np.abs(deviation, out=deviation) > MAX_DT_DEVIATION * step):
-        worst = int(np.argmax(deviation))
-        raise DataError(
-            f"non-uniform sampling: step {dt[worst]:.6g}s to line {row_line(worst + 1)} "
-            f"deviates >1% from median {step:.6g}s"
-        )
+    step = float(np.median(dt, overwrite_input=True))   # reorders dt
+    dt -= step
+    if np.abs(dt, out=dt).max() > MAX_DT_DEVIATION * step:
+        return row_error(None, step)
     rate = 1.0 / step
     if not 0.5 < rate < 2 ** 31:
         raise DataError(f"inferred sampling rate {rate:.6g} Hz does not round to a positive integer")
@@ -201,7 +214,7 @@ def parse_csv(data: bytes | str | RecordFile, patient_id: str = "unknown") -> Ec
     The input is read and parsed in blocks of about BLOCK_BYTES, so a
     RecordFile is never resident whole.  If the reader rejects a block, or
     the input holds a quote, it is read whole again and parsed in one reader
-    call; an error found after reading rereads the input to name its line.
+    call; so is it when a check that names a row fails after reading.
     """
     if isinstance(data, str):   # a lone surrogate becomes bytes that fail to decode below
         data = data.encode(errors="surrogatepass")
@@ -209,15 +222,10 @@ def parse_csv(data: bytes | str | RecordFile, patient_id: str = "unknown") -> Ec
         read, whole = io.BytesIO(data).read, lambda: data
     else:
         read, whole = data.read, data.reread
-    columns = _block_columns(_blocks(read))
+    columns = _block_columns(_blocks(read), len(data))
     if columns is None:
         return _parse_whole(whole(), patient_id)
-
-    def row_line(row: int) -> int:
-        text = whole()
-        return _row_line(text, _first_data_line(text), row)
-
-    return _record(*columns, row_line, patient_id)
+    return _record(*columns, patient_id, lambda *_: _parse_whole(whole(), patient_id))
 
 
 def _parse_whole(data: bytes, patient_id: str) -> EcgRecord:
@@ -235,8 +243,20 @@ def _parse_whole(data: bytes, patient_id: str) -> EcgRecord:
         line, text = _rejected_line(data, start)
         text = text.rstrip(b"\r\n")[:80]
         raise DataError(f"record CSV has a malformed row at line {line}: {text!r}") from exc
-    return _record(values[:, 1], np.diff(values[:, 0]), _first_bad_row(values),
-                   lambda row: _row_line(data, start, row), patient_id)
+
+    def row_error(bad: int | None, step: float | None):
+        if bad is not None:
+            raise DataError(f"record CSV line {_row_line(data, start, bad)} holds a "
+                            "non-finite value")
+        dt = np.diff(values[:, 0])
+        worst = int(np.argmax(np.abs(dt - step)))
+        raise DataError(
+            f"non-uniform sampling: step {dt[worst]:.6g}s to line "
+            f"{_row_line(data, start, worst + 1)} deviates >1% from median {step:.6g}s"
+        )
+
+    return _record(values[:, 1], np.diff(values[:, 0]), _first_bad_row(values), patient_id,
+                   row_error)
 
 
 def serialize_csv(record: EcgRecord) -> str:

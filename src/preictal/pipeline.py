@@ -19,7 +19,8 @@ from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .blocks import fan_out, row_blocks
 from .cache import (FeatureLayout, dump_features, dump_segments, load_features,
-                    load_segment_index, load_segments, read_feature_rows, read_features_layout)
+                    load_segment_index, load_segments, read_features_layout, read_rows,
+                    read_segments_layout)
 from .config import PipelineConfig, stage_settings
 from .errors import DataError, is_json_number
 from .evaluation import (classify_alarm_intervals, count_confusion,
@@ -33,7 +34,7 @@ from .ingest.records import SeizureAnnotation
 from .models import build, dump_trained, load_trained, select_baseline, train
 from .models.training import MODEL_KEYS, SCORE_BATCH, score
 from .nn import dump_arrays, load_arrays
-from .preprocess import SegmentIndex, SegmentSet, label_phases, lowpass, segment
+from .preprocess import SegmentIndex, label_phases, lowpass, segment
 from .report import render_report_svg
 from .stagecache import PRODUCER, STAGE_IO, STAGES, StageCache   # STAGE_IO: for importers
 
@@ -133,11 +134,9 @@ class Pipeline:
     def _annotations(self) -> list[SeizureAnnotation]:
         return load_annotations(self._require("annotations.csv").read_text())
 
-    def _segments(self) -> SegmentSet:
-        return load_segments(self._require("segments.bin").read_bytes())
-
     def _segment_index(self) -> SegmentIndex:
-        return load_segment_index(self._require("segments.bin").read_bytes())
+        with self._require("segments.bin").open("rb") as f:
+            return load_segment_index(f)
 
     def _features_layout(self, f) -> FeatureLayout:
         """The layout of features.bin, open for reading in f."""
@@ -149,7 +148,7 @@ class Pipeline:
 
     @staticmethod
     def _feature_rows(f, layout: FeatureLayout, lo: int, hi: int) -> np.ndarray:
-        return load_features(read_feature_rows(f, layout, lo, hi), layout)[0]
+        return load_features(read_rows(f, layout, lo, hi), layout)[0]
 
     def _n_train(self, layout: FeatureLayout) -> int:
         n_train = self._json("baseline.json").get("n_train")
@@ -205,28 +204,32 @@ class Pipeline:
         self.cache.write("segments.bin", dump_segments(segments))
 
     # Extract and score fan out once over the whole record (`blocks.fan_out`),
-    # in blocks of one transform call or one score batch, so a long record's
-    # feature tensor is never resident whole: each thread holds one block's
-    # rows.  A block reads or writes features.bin through a handle of its own,
-    # so the threads share no file position.
+    # in blocks of one transform call or one score batch, so neither a long
+    # record's segments nor its feature tensor is ever resident whole: each
+    # thread holds one block's rows.  A block reads segments.bin and reads or
+    # writes features.bin through handles of its own, so the threads share no
+    # file position.
 
     def stage_extract(self):
-        segments, rep = self._segments(), self.cfg.representation
-        window = segments.config.window_samples
-        layout = FeatureLayout(rep, feature_shape(rep, window), len(segments))
+        path, rep = self._require("segments.bin"), self.cfg.representation
+        with path.open("rb") as f:
+            source = read_segments_layout(f)
+        window = source.config.window_samples
+        layout = FeatureLayout(rep, feature_shape(rep, window), source.count)
         rows = rows_per_call(rep, window)
         with self.cache.writing("features.bin") as out:
             out.write(layout.header)
             out.truncate(layout.offset + layout.count * layout.row_bytes)
 
             def run(lo, hi):
-                feats = dump_features(extract_features(segments.rows(lo, hi), rep), rep,
-                                      header=False)
+                with path.open("rb") as f:
+                    block = load_segments(read_rows(f, source, lo, hi), source)
+                feats = dump_features(extract_features(block, rep), rep, header=False)
                 with open(out.name, "r+b") as f:
                     f.seek(layout.offset + lo * layout.row_bytes)
                     f.write(feats)
 
-            fan_out(run, row_blocks(len(segments), rows), rows)
+            fan_out(run, row_blocks(source.count, rows), rows)
 
     def stage_train(self):
         segments, plan = self._segment_index(), self.settings.train

@@ -13,6 +13,7 @@ from .ingest.records import EcgRecord, SeizureAnnotation
 WINDOW_CHOICES_S = (1, 5, 10)
 OVERLAP_CHOICES_S = (0, 1, 3, 5)
 POSTICTAL_LEN_S = 600.0   # post-ictal segments are labeled for this long after each offset
+FILTER_CHUNK = 1 << 16    # samples per lfilter call of a zero-phase pass
 
 
 class Phase(IntEnum):
@@ -103,11 +104,6 @@ class SegmentSet(SegmentIndex):
             )
         self.samples.flags.writeable = False
 
-    def rows(self, lo: int, hi: int) -> "SegmentSet":
-        """Segments lo..hi-1 as a set of their own, viewing these arrays."""
-        return SegmentSet(self.samples[lo:hi], self.start_samples[lo:hi],
-                          self.phases[lo:hi], self.config)
-
     def with_phases(self, phases: np.ndarray) -> "SegmentSet":
         return SegmentSet(self.samples, self.start_samples, phases, self.config)
 
@@ -123,11 +119,33 @@ def lowpass(record: EcgRecord, cfg: FilterConfig = FilterConfig()) -> EcgRecord:
     b, a = sps.butter(cfg.filter_order, cfg.cutoff_hz / (record.sampling_rate_hz / 2), btype="low")
     if cfg.zero_phase:
         padlen = min(len(record.samples) - 1, max(3 * record.sampling_rate_hz, 3 * len(a)))
-        filtered = sps.filtfilt(b, a, record.samples, padlen=padlen)
+        filtered = _filtfilt(b, a, record.samples, padlen)
     else:
         filtered = sps.lfilter(b, a, record.samples)
     return EcgRecord(patient_id=record.patient_id, sampling_rate_hz=record.sampling_rate_hz,
                      samples=filtered, annotations=list(record.annotations))
+
+
+def _filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
+    """`sps.filtfilt(b, a, x, padlen=padlen)` bit for bit: the same odd
+    extension, initial states and two passes, each run in chunks that carry
+    the filter's state.  The forward pass writes one array from the
+    extension's pieces, never joined, and the backward pass overwrites it
+    from its end, so only x and that array are ever whole."""
+    zi = sps.lfilter_zi(b, a)
+    ext = (2 * x[:1] - x[padlen:0:-1], x, 2 * x[-1:] - x[-2:-(padlen + 2):-1])
+    y, pos, z = np.empty(len(x) + 2 * padlen), 0, zi * (ext[0] if padlen else x)[0]
+    for piece in ext:
+        for lo in range(0, len(piece), FILTER_CHUNK):   # no call on an empty piece
+            part = piece[lo:lo + FILTER_CHUNK]
+            y[pos:pos + len(part)], z = sps.lfilter(b, a, part, zi=z)
+            pos += len(part)
+    z = zi * y[-1]
+    for hi in range(len(y), 0, -FILTER_CHUNK):
+        lo = max(hi - FILTER_CHUNK, 0)
+        part, z = sps.lfilter(b, a, y[lo:hi][::-1], zi=z)
+        y[lo:hi] = part[::-1]
+    return y[padlen:padlen + len(x)]
 
 
 def segment(record: EcgRecord, cfg: SegmentationConfig) -> SegmentSet:

@@ -1,7 +1,10 @@
-"""Peak memory of the extract, train and score stages does not grow with the
-record's length: each stage runs as a fresh CLI process on a scalogram record
-and on one four times longer, and their peaks differ by a fixed margin. The
-peak of converting a CSV record grows with the file's bytes by a fixed factor.
+"""Peak memory of each stage grows with the record's length by at most a
+fixed number of record copies: each stage runs as a fresh CLI process on a
+scalogram record and on one 1,800 s longer, whose one float64 copy is 7 MiB
+larger.  Extract, train, score, evaluate and report hold blocks, so their
+peaks grow by less than one copy; preprocess holds the record and its
+filtered copy.  The peak of converting a CSV record grows with the file's
+bytes by a fixed factor.
 
 A stage's peak is the child's `VmHWM`, which counts only memory since its
 `exec`; `ru_maxrss` would start from the pytest process's own peak."""
@@ -16,11 +19,19 @@ import preictal
 from preictal.ingest import (SyntheticEvent, SyntheticSpec, generate_synthetic,
                              serialize_annotations, serialize_csv, write_edf)
 
-MARGIN_MB = 64
-# convert holds one block of the CSV, and the mv column and time steps:
-# 16 bytes per row of about 35
-CSV_PEAK_PER_BYTE = 1.5
-STAGES = ("convert", "preprocess", "extract", "train", "score")
+DURATIONS_S = (300.0, 2100.0)
+FS = 512
+COPY_MB = 8 * FS * (DURATIONS_S[1] - DURATIONS_S[0]) / 2**20   # the added float64 copy
+# peak growth per added record copy: preprocess holds the raw record and its
+# filtered copy (2.0 measured; 4.1 with scipy's filtfilt), the other stages
+# one block at a time (extract at most 0.7 measured, the others about 0; 1.0
+# for extract and evaluate when they read segments.bin whole)
+PREPROCESS_COPIES = 2.5
+BLOCKED_COPIES = 1.0
+# convert holds the mv column and the time steps, 16 bytes per row of about
+# 35, and one 512 KiB block: 0.49 measured per added file byte
+CSV_PEAK_PER_BYTE = 0.65
+STAGES = ("convert", "preprocess", "extract", "train", "score", "evaluate", "report")
 # prints the peak resident set in KiB: VmHWM, else ru_maxrss (KiB on Linux,
 # bytes on macOS)
 STAGE_PEAK = """\
@@ -41,14 +52,15 @@ sys.exit(code)
 def records(tmp_path_factory) -> dict[float, Path]:
     """A directory per record length, holding the record as EDF and as CSV."""
     roots = {}
-    for duration_s in (150.0, 600.0):
+    for duration_s in DURATIONS_S:
         root = roots[duration_s] = tmp_path_factory.mktemp(f"record{int(duration_s)}")
         # the same first seizure, so the same 30-segment baseline: pre-ictal
         # from 30 s, within the 20%-of-record cap of the shorter record
         rec = generate_synthetic(SyntheticSpec(
-            duration_s=duration_s, base_hr_bpm=90.0, noise_std=0.02, hrv_bpm=5.0,
-            events=(SyntheticEvent(onset_s=80.0, preictal_lead_s=50.0, hr_ramp_bpm=30.0,
-                                   jitter_std=0.3),), rng_seed=1))
+            duration_s=duration_s, sampling_rate_hz=FS, base_hr_bpm=90.0, noise_std=0.02,
+            hrv_bpm=5.0, events=(SyntheticEvent(onset_s=80.0, preictal_lead_s=50.0,
+                                                hr_ramp_bpm=30.0, jitter_std=0.3),),
+            rng_seed=1))
         (root / "record.edf").write_bytes(write_edf(rec))
         (root / "record.csv").write_text(serialize_csv(rec))
         (root / "annotations.csv").write_text(serialize_annotations(rec.annotations))
@@ -74,16 +86,18 @@ def stage_peaks_mb(root: Path, record: str, stages=STAGES) -> dict[str, float]:
     return peaks
 
 
-def test_stage_peaks_do_not_grow_with_record_length(records):
-    short, long = (stage_peaks_mb(records[d], "record.edf") for d in (150.0, 600.0))
-    for stage in ("extract", "train", "score"):
-        assert long[stage] - short[stage] < MARGIN_MB, (stage, short, long)
+def test_stage_peaks_grow_by_a_fixed_number_of_record_copies(records):
+    short, long = (stage_peaks_mb(records[d], "record.edf") for d in DURATIONS_S)
+    copies = {stage: (long[stage] - short[stage]) / COPY_MB for stage in STAGES[1:]}
+    assert copies["preprocess"] < PREPROCESS_COPIES, (copies, short, long)
+    for stage in STAGES[2:]:
+        assert copies[stage] < BLOCKED_COPIES, (stage, copies, short, long)
 
 
 def test_csv_convert_peak_grows_with_file_bytes_only(records):
     short, long = (stage_peaks_mb(records[d], "record.csv", ("convert",))["convert"]
-                   for d in (150.0, 600.0))
-    file_mb = [(records[d] / "record.csv").stat().st_size / 2**20 for d in (150.0, 600.0)]
-    # 7.6 MiB more file bytes: about 9.5 MiB more peak; 17 MiB when the file
-    # was read whole, 105 MiB with a parser that keeps a Python list per row
+                   for d in DURATIONS_S)
+    file_mb = [(records[d] / "record.csv").stat().st_size / 2**20 for d in DURATIONS_S]
+    # 31 MiB more file bytes: about 15 MiB more peak; 1.2 per byte when the
+    # columns were joined from per-block lists, 2.1 when the file was read whole
     assert long - short < CSV_PEAK_PER_BYTE * (file_mb[1] - file_mb[0]), (short, long, file_mb)

@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preictal import cache
 from preictal.cache import (dump_features, dump_segments, load_features,
-                            load_segment_index, load_segments)
+                            load_segment_index, load_segments, read_rows,
+                            read_segments_layout)
 from preictal.errors import DataError
 from preictal.ingest import EcgRecord
 from preictal.nn.params_io import dump_arrays, load_arrays
@@ -31,9 +34,16 @@ def test_segment_roundtrip():
     assert back.config == segs.config
 
 
-def test_segment_index_reads_starts_phases_and_config():
+def load_index(blob):
+    """load_segment_index of ESG1 bytes, as if read from a file."""
+    return load_segment_index(io.BytesIO(blob))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * (16 + 8 * 2560), 1 << 22])
+def test_segment_index_reads_starts_phases_and_config(block_bytes, monkeypatch):
+    monkeypatch.setattr(cache, "INDEX_BLOCK_BYTES", block_bytes)   # 1 row, 3 rows, all
     segs = make_segments(overlap_s=1)
-    index = load_segment_index(dump_segments(segs))
+    index = load_index(dump_segments(segs))
     assert not hasattr(index, "samples")
     assert len(index) == len(segs)
     assert np.array_equal(index.start_samples, segs.start_samples)
@@ -53,6 +63,26 @@ def test_segment_bytes_are_header_then_zero_padded_chunks(overlap_s):
     head = b"ESG1" + struct.pack("<IIIII", 1, cfg.sampling_rate_hz, cfg.window_samples,
                                  cfg.hop_samples, len(segs))
     assert bytes(dump_segments(segs)) == head + chunks.tobytes()
+
+
+def test_segment_rows_read_alone():
+    segs = make_segments()
+    f = io.BytesIO(dump_segments(segs))
+    layout = read_segments_layout(f)
+    assert (layout.config, layout.count) == (segs.config, len(segs))
+    block = load_segments(read_rows(f, layout, 2, 5), layout)
+    assert np.array_equal(block.samples, segs.samples[2:5])
+    assert np.array_equal(block.start_samples, segs.start_samples[2:5])
+    assert np.array_equal(block.phases, segs.phases[2:5])
+
+
+def test_bad_phase_in_a_later_block_is_data_error(monkeypatch):
+    monkeypatch.setattr(cache, "INDEX_BLOCK_BYTES", 1)   # one row per block
+    blob = dump_segments(make_segments())
+    blob[cache.SegmentLayout.offset + 4 * (16 + 8 * 2560) + 8] = 7   # row 4's phase
+    for load in (load_segments, load_index):
+        with pytest.raises(DataError, match="phase outside"):
+            load(blob)
 
 
 def test_segment_bad_magic():
@@ -101,7 +131,7 @@ def _small_segments():
 # one valid blob per loader; the fuzz tests below cut, flip and replace its bytes
 VALID_BLOBS = {
     load_segments: dump_segments(_small_segments()),
-    load_segment_index: dump_segments(_small_segments()),
+    load_index: dump_segments(_small_segments()),
     load_features: dump_features(np.arange(24.0).reshape(2, 3, 4), "scalogram"),
     load_arrays: dump_arrays({"w": np.ones((2, 3)), "b": np.zeros(3)}, "lstm_ae:dwt:32x16"),
 }
@@ -123,7 +153,7 @@ MALFORMED_SEGMENT_HEADERS = [
 
 
 @pytest.mark.parametrize("load, blob", [
-    *[(load, blob) for load in (load_segments, load_segment_index)
+    *[(load, blob) for load in (load_segments, load_index)
       for blob in MALFORMED_SEGMENT_HEADERS],
     (load_features, b"FTR1\x01\x00\x00"),
     (load_arrays, b"MDL1\x01\x00\x00\x00\x03"),
@@ -189,4 +219,4 @@ def _segments_read(load, blob: bytes):
 @given(data=st.data())
 def test_index_reader_accepts_what_load_segments_accepts(fuzz, data):
     blob = fuzz(VALID_BLOBS[load_segments], data)
-    assert _segments_read(load_segment_index, blob) == _segments_read(load_segments, blob)
+    assert _segments_read(load_index, blob) == _segments_read(load_segments, blob)

@@ -185,6 +185,17 @@ def test_blocks_of_any_size_parse_as_one(rows, end, block_bytes):
     _parses_as_one(("time_s,mv" + end + end.join(lines) + end).encode("latin-1"), block_bytes)
 
 
+def test_columns_grow_past_the_rows_the_size_allows(monkeypatch):
+    # a file that grows while it is read holds more rows than its size when
+    # opened could
+    monkeypatch.setattr(csv_text, "BLOCK_BYTES", 8)
+    data = ("time_s,mv\n" + ROWS).encode()
+    for size in (0, len(data)):
+        mv, dt, bad = csv_text._block_columns(csv_text._blocks(io.BytesIO(data).read), size)
+        assert mv.tobytes() == SAMPLES.tobytes() and bad is None
+        assert dt.tobytes() == np.diff([0, 0.125, 0.25, 0.375]).tobytes()
+
+
 def test_blocks_stop_reading_at_the_first_quote(monkeypatch):
     monkeypatch.setattr(csv_text, "BLOCK_BYTES", 4)
     data = io.BytesIO(b'0,1.5,a"b\n' + b"0.125,-2\n" * 1000)

@@ -14,7 +14,7 @@ from preictal.models import (ARCHITECTURES, BaselineUnavailableError,
                              train)
 from preictal.models.training import SCORE_BATCH, TrainedModel, fit_step, row_blocks
 from preictal.nn import AdamState, adam_step, mse_loss
-from preictal.preprocess import Phase, SegmentationConfig, label_phases, segment
+from preictal.preprocess import Phase, SegmentationConfig, SegmentSet, label_phases, segment
 
 REPRESENTATIONS = ("dwt", "scalogram", "spectrogram")
 
@@ -283,8 +283,9 @@ def _untrained(kind, representation, feats):
 def dwt_rows(event_record):
     from preictal.preprocess import lowpass
 
-    segs = segment(lowpass(event_record), SegmentationConfig(1, 0, 512))
-    feats = extract_features(segs.rows(0, 9 * SCORE_BATCH), "dwt")
+    segs, n = segment(lowpass(event_record), SegmentationConfig(1, 0, 512)), 9 * SCORE_BATCH
+    feats = extract_features(SegmentSet(segs.samples[:n], segs.start_samples[:n],
+                                        segs.phases[:n], segs.config), "dwt")
     return apply_normalization(feats, fit_normalization(feats))
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from preictal import blocks
-from preictal.cache import load_segments, read_feature_rows
+from preictal.cache import load_segments, read_rows
 from preictal.cli import main
 from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
@@ -268,15 +270,15 @@ def test_score_error_on_a_pool_thread_exits_3(tail_run, tmp_path, capsys, monkey
 
     raised_on = []
 
-    def read_rows(*args):
+    def noted_rows(*args):
         try:
-            return read_feature_rows(*args)
+            return read_rows(*args)
         except DataError:
             raised_on.append(threading.current_thread().name)
             raise
 
     monkeypatch.setattr(Pipeline, "_features_layout", shrink)
-    monkeypatch.setattr(pipeline, "read_feature_rows", read_rows)
+    monkeypatch.setattr(pipeline, "read_rows", noted_rows)
     assert main(["score", "--config", str(config)]) == 3
     assert "shrank" in capsys.readouterr().err
     assert len(raised_on) == 1 and raised_on[0] != threading.main_thread().name
@@ -344,6 +346,39 @@ def test_locked_output_directory_exits_3(completed_run, fixture_files, tmp_path,
     assert json.loads((out / "manifest.json").read_text())["stages"] == before
     assert sorted(os.listdir(out)) == files   # the lock put no file in the directory
     assert main(["all", "--config", str(config)]) == 0   # closing the descriptor released it
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir() if path.name != "manifest.json"}
+
+
+def test_two_racing_runs_leave_a_clean_run(fixture_files, tmp_path):
+    """Two `preictal all` processes started at once on one output directory:
+    each exits 0, or one exits 3 on the other's lock, and the directory then
+    holds what a run alone writes, with no temporary file left behind."""
+    pytest.importorskip("fcntl")
+    root, record, annotations = fixture_files
+    configs = {}
+    for name in ("raced", "alone"):
+        configs[name] = tmp_path / f"{name}.cfg"
+        configs[name].write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations,
+                                                        out=tmp_path / name))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(pipeline.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-m", "preictal.cli", "all",
+                               "--config", str(configs["raced"])],
+                              env=env, stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]   # exactly two processes
+    done = [(proc.returncode, err) for proc in procs
+            for _, err in [proc.communicate(timeout=600)]]
+    assert sorted(code for code, _ in done) in ([0, 0], [0, 3]), done
+    for code, err in done:
+        assert code == 0 or "output directory in use by another run" in err, err
+    assert main(["all", "--config", str(configs["alone"])]) == 0
+    assert _digests(tmp_path / "raced") == _digests(tmp_path / "alone")
+    assert not [name for name in os.listdir(tmp_path / "raced") if name.startswith(".")]
 
 
 def test_warm_rerun_hashes_each_artifact_at_most_once(completed_run, fixture_files,

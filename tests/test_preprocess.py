@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
 
+from preictal import preprocess
 from preictal.errors import ConfigError, DataError
 from preictal.ingest import EcgRecord, SeizureAnnotation
 from preictal.preprocess import (FilterConfig, Phase, SegmentationConfig,
@@ -62,6 +64,18 @@ class TestLowpass:
         z = lowpass(record_of(x)).samples
         interior = slice(FS, 3 * FS)
         assert np.max(np.abs(y[interior] - x[interior])) > np.max(np.abs(z[interior] - x[interior]))
+
+    # record lengths below, at and above the extension's 1,536 samples; chunks
+    # of 7 samples split the passes and the extension's pieces
+    @pytest.mark.parametrize("n", [1, 2, 5, 600, 1537, 5000])
+    @pytest.mark.parametrize("chunk", [7, preprocess.FILTER_CHUNK])
+    @pytest.mark.parametrize("cfg", [FilterConfig(), FilterConfig(cutoff_hz=5.0, filter_order=2)])
+    def test_zero_phase_is_scipy_filtfilt_bit_for_bit(self, n, chunk, cfg, monkeypatch):
+        monkeypatch.setattr(preprocess, "FILTER_CHUNK", chunk)
+        x = np.random.default_rng(n).normal(size=n).cumsum()
+        b, a = sps.butter(cfg.filter_order, cfg.cutoff_hz / (FS / 2), btype="low")
+        expected = sps.filtfilt(b, a, x, padlen=min(n - 1, max(3 * FS, 3 * len(a))))
+        assert lowpass(record_of(x), cfg).samples.tobytes() == expected.tobytes()
 
     def test_cutoff_beyond_nyquist_rejected(self):
         with pytest.raises(ConfigError, match="Nyquist"):
