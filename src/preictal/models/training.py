@@ -8,12 +8,12 @@ float64 holding the float32 values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..blocks import fan_out, row_blocks
-from ..errors import ConfigError, DataError, NumericError, is_json_number
+from ..errors import ConfigError, DataError, NumericError, check_json, field_kinds
 from ..features import REPRESENTATIONS, NormalizationStats
 from ..nn import AdamState, Sequential, adam_step, dump_arrays, load_arrays, make_rng, mse_loss
 from .architectures import (ARCHITECTURES, DEFAULT_HYPER, ArchitectureSpec, instantiate,
@@ -172,12 +172,13 @@ def score(trained: TrainedModel, features_normalized: np.ndarray,
 
 
 MODEL_FORMAT_VERSION = 1
-# the TrainPlan fields model.json records, and all the model.json keys load_trained indexes
+# the TrainPlan fields model.json records
 MODEL_PLAN_FIELDS = ("seed", "epochs", "batch_size", "patience", "min_delta", "holdout_fraction")
-MODEL_KEYS = ("architecture", "representation", "steps", "features", *MODEL_PLAN_FIELDS,
-              "normalization_digest", "loss_history")
-_PLAN_TYPES = {f.name: f.type for f in fields(TrainPlan)}   # "int" or "float"
-_LAYOUT_CHOICES = {"architecture": ARCHITECTURES, "representation": REPRESENTATIONS}
+# every model.json key load_trained reads, with its kind (errors.check_json)
+MODEL_JSON = {"format_version": "int", "architecture": ARCHITECTURES,
+              "representation": REPRESENTATIONS, "steps": "int > 0", "features": "int > 0",
+              "hyper": "dict", "normalization_digest": "str", "loss_history": "list[float]",
+              **field_kinds(TrainPlan, MODEL_PLAN_FIELDS)}
 
 
 def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
@@ -201,31 +202,17 @@ def dump_trained(trained: TrainedModel) -> tuple[bytes, str]:
 
 def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedModel:
     """The model from dump_trained's parameter bytes and its parsed sidecar."""
-    if meta.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model manifest version {meta.get('format_version')}")
-    if _stats_digest(stats) != meta["normalization_digest"]:
-        raise DataError("normalization stats do not match the model manifest digest")
-    if meta.get("hyper") != DEFAULT_HYPER:
-        raise DataError(f"model hyperparameters {meta.get('hyper')} differ from {DEFAULT_HYPER}")
-    for name, choices in _LAYOUT_CHOICES.items():
-        if not (isinstance(meta[name], str) and meta[name] in choices):
-            raise DataError(f"model manifest: {name} holds {meta[name]!r}, not one of {choices}")
-    for name in ("steps", "features"):
-        if not (is_json_number(meta[name], "int") and meta[name] > 0):
-            raise DataError(f"model manifest: {name} holds {meta[name]!r}, not a positive int")
+    try:
+        meta = check_json(meta, MODEL_JSON)
+        plan = TrainPlan(**{name: meta[name] for name in MODEL_PLAN_FIELDS})
+    except (ConfigError, DataError) as exc:   # the manifest is data, not configuration
+        raise DataError(f"artifact 'model.json': {exc}") from exc
+    for key, want in (("format_version", MODEL_FORMAT_VERSION), ("hyper", DEFAULT_HYPER),
+                      ("normalization_digest", _stats_digest(stats))):   # of the stats given
+        if meta[key] != want:
+            raise DataError(f"artifact 'model.json' holds {key} {meta[key]!r}, not {want!r}")
     spec = ArchitectureSpec(kind=meta["architecture"], representation=meta["representation"],
                             steps=meta["steps"], features=meta["features"])
-    for name in MODEL_PLAN_FIELDS:
-        if not is_json_number(meta[name], _PLAN_TYPES[name]):
-            raise DataError(f"model manifest: {name} holds {meta[name]!r}, "
-                            f"not a valid {_PLAN_TYPES[name]}")
-    history = meta["loss_history"]
-    if not (isinstance(history, list) and all(is_json_number(v, "float") for v in history)):
-        raise DataError("model manifest: loss_history is not a list of finite numbers")
-    try:
-        plan = TrainPlan(**{name: meta[name] for name in MODEL_PLAN_FIELDS})
-    except ConfigError as exc:   # the manifest is data, not configuration
-        raise DataError(f"model manifest: {exc}") from exc
     model = instantiate(spec, plan.seed)
     tag, arrays = load_arrays(blob)
     if tag != spec.tag:
@@ -237,7 +224,7 @@ def load_trained(blob: bytes, meta: dict, stats: NormalizationStats) -> TrainedM
             raise DataError(f"array {name!r} has shape {arrays[name].shape}, expected {arr.shape}")
         arr[...] = arrays[name]
     return TrainedModel(spec=spec, model=model, stats=stats, plan=plan,
-                        loss_history=list(history))
+                        loss_history=list(meta["loss_history"]))
 
 
 def _stats_digest(stats: NormalizationStats) -> str:

@@ -22,9 +22,9 @@ from .cache import (FeatureLayout, dump_features, dump_segments, load_features,
                     load_segment_index, load_segments, read_features_layout, read_rows,
                     read_segments_layout)
 from .config import PipelineConfig, stage_settings
-from .errors import DataError, is_json_number
-from .evaluation import (classify_alarm_intervals, count_confusion,
-                         default_preictal_len_s, events_to_intervals,
+from .errors import DataError, check_json, field_kinds
+from .evaluation import (ConfusionCounts, EvalResult, classify_alarm_intervals,
+                         count_confusion, default_preictal_len_s, events_to_intervals,
                          interictal_hours, metrics, seizure_outcomes)
 from .features import (apply_normalization, extract_features, feature_shape, fit_normalization,
                        rows_per_call)
@@ -32,7 +32,7 @@ from .ingest import (EcgRecord, load_annotations, parse_csv, parse_edf,
                      serialize_annotations)
 from .ingest.records import SeizureAnnotation
 from .models import build, dump_trained, load_trained, select_baseline, train
-from .models.training import MODEL_KEYS, SCORE_BATCH, score
+from .models.training import MODEL_JSON, SCORE_BATCH, score
 from .nn import dump_arrays, load_arrays
 from .preprocess import SegmentIndex, label_phases, lowpass, segment
 from .report import render_report_svg
@@ -43,34 +43,18 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-_MISSING = object()
-
-
-def _at(value, key: str):
-    """The value at `key` of a JSON value, or _MISSING; `a.b` names key `b`
-    of the object at key `a`."""
-    for part in key.split("."):
-        if not isinstance(value, dict) or part not in value:
-            return _MISSING
-        value = value[part]
-    return value
-
-
-# checks of the JSON values the stages index
-def _str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _object(value) -> bool:
-    return isinstance(value, dict)
-
-
-def _number(value) -> bool:   # finite, and not a bool
-    return is_json_number(value, "float")
-
-
-def _positive(value) -> bool:
-    return _number(value) and value > 0
+# every key a stage reads from each JSON artifact, with its kind (errors.check_json)
+JSON_KINDS = {
+    "record.json": {"patient_id": "str", "sampling_rate_hz": "int > 0", "duration_s": "float > 0"},
+    "baseline.json": {"n_train": "int"},
+    "model.json": MODEL_JSON,
+    "evaluation.json": {"patient_id": "str", "counting_note": "str",
+                        "threshold": field_kinds(Threshold),
+                        "eval_config": {"preictal_len_s": "float"},
+                        "confusion": field_kinds(ConfusionCounts),
+                        "metrics": field_kinds(EvalResult)},
+}
+SCORE_ARRAYS = ("train_errors", "test_indices", "test_errors")
 
 
 class Pipeline:
@@ -105,31 +89,13 @@ class Pipeline:
             raise DataError(f"missing artifact {name!r}; run the '{PRODUCER[name]}' stage first")
         return path
 
-    def _json(self, name: str, *keys: str, valid=None) -> dict:
-        """A JSON artifact's top-level object, which must hold `keys` (see `_at`)
-        and the keys of `valid`, each with a value its check accepts."""
+    def _json(self, name: str) -> dict:
+        """A JSON artifact's top-level object, checked against its JSON_KINDS row."""
+        path = self._require(name)
         try:
-            value = json.loads(self._require(name).read_bytes())
-        except ValueError as exc:   # not UTF-8, or not JSON
-            raise DataError(f"artifact {name!r} is not valid JSON ({exc}); "
-                            f"re-run '{PRODUCER[name]}'") from exc
-        if not isinstance(value, dict):
-            raise DataError(f"artifact {name!r} holds a JSON {type(value).__name__}, not an "
-                            f"object; re-run '{PRODUCER[name]}'")
-        valid = valid or {}
-        missing = [key for key in (*keys, *valid) if _at(value, key) is _MISSING]
-        if missing:
-            raise DataError(f"artifact {name!r} lacks {', '.join(missing)}; "
-                            f"re-run '{PRODUCER[name]}'")
-        wrong = [key for key, check in valid.items() if not check(_at(value, key))]
-        if wrong:
-            raise DataError(f"artifact {name!r} holds an invalid {', '.join(wrong)}; "
-                            f"re-run '{PRODUCER[name]}'")
-        return value
-
-    def _record_meta(self) -> dict:
-        return self._json("record.json", valid={
-            "patient_id": _str, "sampling_rate_hz": _positive, "duration_s": _positive})
+            return check_json(json.loads(path.read_bytes()), JSON_KINDS[name])
+        except (ValueError, RecursionError, DataError) as exc:   # not UTF-8, not JSON, too deep
+            raise DataError(f"artifact {name!r}: {exc}; re-run '{PRODUCER[name]}'") from exc
 
     def _annotations(self) -> list[SeizureAnnotation]:
         return load_annotations(self._require("annotations.csv").read_text())
@@ -151,18 +117,31 @@ class Pipeline:
         return load_features(read_rows(f, layout, lo, hi), layout)[0]
 
     def _n_train(self, layout: FeatureLayout) -> int:
-        n_train = self._json("baseline.json").get("n_train")
-        if type(n_train) is not int or not 0 <= n_train <= layout.count:
+        n_train = self._json("baseline.json")["n_train"]
+        if not 0 <= n_train <= layout.count:
             raise DataError(f"artifact 'baseline.json' holds n_train {n_train!r} for "
                             f"{layout.count} feature rows; re-run 'train'")
         return n_train
 
-    def _load_scores(self):
-        tag, arrays = load_arrays(self._require("scores.params").read_bytes())
-        if tag != "scores":
-            raise DataError(f"scores.params has tag {tag!r}")
-        return (arrays["train_errors"], arrays["test_indices"].astype(np.int64),
-                arrays["test_errors"])
+    def _load_scores(self, count: int):
+        """scores.params' train errors, test indices and test errors: errors
+        finite and >= 0 for the `count` segments, in order."""
+        data = self._require("scores.params").read_bytes()
+        try:
+            tag, arrays = load_arrays(data)
+            train, idx, test = (arrays.get(key, np.zeros((0, 0))) for key in SCORE_ARRAYS)
+            if tag != "scores" or {a.ndim for a in (train, idx, test)} != {1}:
+                raise DataError(f"holds tag {tag!r} and arrays {sorted(arrays)}, not the 1-D "
+                                f"{', '.join(SCORE_ARRAYS)} of tag 'scores'")
+            test_idx = np.arange(len(train), count)
+            if len(train) + len(test) != count or not np.array_equal(idx, test_idx):
+                raise DataError(f"the {len(train)} + {len(test)} rows are not the {count} "
+                                f"segments in order")
+            if not all(np.all((e >= 0) & (e < np.inf)) for e in (train, test)):   # NaN fails
+                raise DataError("an error is negative or not finite")
+        except DataError as exc:
+            raise DataError(f"artifact 'scores.params': {exc}; re-run 'score'") from None
+        return train, test_idx, test
 
     def _preictal_len_s(self, meta: dict) -> float:
         """The configured pre-ictal interval, or the default for the record's length."""
@@ -191,7 +170,7 @@ class Pipeline:
         self.cache.write("annotations.csv", serialize_annotations(annotations))
 
     def stage_preprocess(self):
-        meta, anns = self._record_meta(), self._annotations()
+        meta, anns = self._json("record.json"), self._annotations()
         # the raw samples are dropped once filtered
         filtered = lowpass(EcgRecord(patient_id=meta["patient_id"],
                                      sampling_rate_hz=meta["sampling_rate_hz"],
@@ -233,7 +212,7 @@ class Pipeline:
 
     def stage_train(self):
         segments, plan = self._segment_index(), self.settings.train
-        train_idx, test_idx = select_baseline(segments, self._record_meta()["duration_s"],
+        train_idx, test_idx = select_baseline(segments, self._json("record.json")["duration_s"],
                                               min_segments=plan.min_baseline_segments)
         with self._require("features.bin").open("rb") as f:
             layout = self._features_layout(f)
@@ -267,7 +246,7 @@ class Pipeline:
             # as train fitted them
             stats = fit_normalization(self._feature_rows(f, layout, 0, n_train))
         trained = load_trained(self._require("model.params").read_bytes(),
-                               self._json("model.json", *MODEL_KEYS), stats)
+                               self._json("model.json"), stats)
 
         def run(lo, hi):
             with path.open("rb") as f:
@@ -278,16 +257,13 @@ class Pipeline:
         # the batch before it
         all_errors = np.concatenate(
             fan_out(run, row_blocks(layout.count, SCORE_BATCH, min_rows=2), SCORE_BATCH))
-        arrays = {
-            "train_errors": all_errors[:n_train],
-            "test_indices": np.arange(n_train, layout.count, dtype=np.float64),
-            "test_errors": all_errors[n_train:],
-        }
-        self.cache.write("scores.params", dump_arrays(arrays, "scores"))
+        arrays = (all_errors[:n_train], np.arange(n_train, layout.count, dtype=np.float64),
+                  all_errors[n_train:])
+        self.cache.write("scores.params", dump_arrays(dict(zip(SCORE_ARRAYS, arrays)), "scores"))
 
     def stage_evaluate(self):
-        segments, meta, anns = self._segment_index(), self._record_meta(), self._annotations()
-        train_err, test_idx, test_err = self._load_scores()
+        segments, meta, anns = self._segment_index(), self._json("record.json"), self._annotations()
+        train_err, test_idx, test_err = self._load_scores(len(segments))
         eval_cfg = replace(self.settings.evaluation, preictal_len_s=self._preictal_len_s(meta))
         w = self.cfg.smoothing_w
 
@@ -338,28 +314,20 @@ class Pipeline:
 
     def stage_report(self):
         segments, anns = self._segment_index(), self._annotations()
-        evaluation = self._json("evaluation.json", "counting_note", valid={
-            "patient_id": _str, "metrics": _object, "confusion": _object,
-            "threshold.mu": _number, "threshold.sigma": _number, "threshold.k": _number,
-            "eval_config.preictal_len_s": _number})
-        _, test_idx, test_err = self._load_scores()
+        evaluation = self._json("evaluation.json")
+        _, test_idx, test_err = self._load_scores(len(segments))
         patient_id = evaluation["patient_id"]
 
         result = evaluation["metrics"]
         self.cache.write("metrics.json", _json_dumps({
-            "patient_id": patient_id,
-            "metrics": result,
-            "confusion": evaluation["confusion"],
-            "counting_note": evaluation["counting_note"],
-        }))
+            key: evaluation[key] for key in ("patient_id", "metrics", "confusion", "counting_note")}))
         header = ["patient_id"] + sorted(result)
         row = [patient_id] + [_csv_cell(result[k]) for k in sorted(result)]
         self.cache.write("metrics.csv", ",".join(header) + "\n" + ",".join(row) + "\n")
 
         test_raw = series_from_errors(test_err, test_idx)
         test_smooth = smooth(test_raw, self.cfg.smoothing_w)
-        th = evaluation["threshold"]
-        threshold = Threshold(mu=th["mu"], sigma=th["sigma"], k=th["k"])
+        threshold = Threshold(**evaluation["threshold"])   # checked: exactly its fields
         times = segments.start_times_s()[test_idx]
         svg = render_report_svg(
             test_raw, test_smooth, threshold, anns, times,

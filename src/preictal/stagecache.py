@@ -132,7 +132,7 @@ class StageCache:
     def _load_manifest(self) -> dict:
         try:
             manifest = json.loads((self.out / "manifest.json").read_text())
-        except (FileNotFoundError, ValueError):   # ValueError: cut short or not UTF-8
+        except (FileNotFoundError, ValueError, RecursionError):   # cut short, not UTF-8, too deep
             manifest = None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
             manifest = {"stages": {}}   # absent or unusable: every stage re-runs

@@ -190,6 +190,14 @@ class TestScore:
         with pytest.raises(DataError, match="hyper"):
             load_trained(blob, meta, model.stats)
 
+    @pytest.mark.parametrize("key, value", [("format_version", 2),
+                                            ("normalization_digest", "0" * 64)])
+    def test_mismatched_manifest_rejected_on_load(self, trained, key, value):
+        model, _ = trained
+        blob, manifest = dump_trained(model)
+        with pytest.raises(DataError, match=f"'model.json' holds {key}"):
+            load_trained(blob, {**json.loads(manifest), key: value}, model.stats)
+
     @pytest.mark.parametrize("key, value", [("seed", -1), ("epochs", 0)])
     def test_out_of_range_plan_rejected_on_load(self, trained, key, value):
         # the manifest is data: its out-of-range values are a DataError, not a ConfigError

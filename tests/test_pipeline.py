@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -152,8 +153,9 @@ def test_truncated_manifest_reruns_every_stage(completed_run, fixture_files, tmp
         stages = json.loads(manifest.read_text())["stages"]
         assert sorted(stages) == sorted(STAGES)
         assert all(isinstance(entry, dict) for entry in stages.values())
-    (tmp_path / "manifest.json").write_text("[]")   # aside, so the shared run stays whole
-    assert Pipeline(replace(cfg, out=str(tmp_path))).cache._load_manifest()["stages"] == {}
+    for text in ("[]", "[" * 100000):   # aside, so the shared run stays whole
+        (tmp_path / "manifest.json").write_text(text)
+        assert Pipeline(replace(cfg, out=str(tmp_path))).cache._load_manifest()["stages"] == {}
 
 
 def test_missing_upstream_names_stage(fixture_files):
@@ -203,6 +205,17 @@ def test_changed_config_invalidates_downstream(completed_run, fixture_files, mon
 def test_stage_table_covers_every_config_field():
     declared = {name for io in STAGE_IO.values() for name in io.fields}
     assert declared == {f.name for f in fields(PipelineConfig)} - {"out"}
+
+
+def test_readme_stage_table_matches_stage_io():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| stage | config keys | artifacts read |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        stage, keys, reads = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4])
+        rows[stage[0]] = (tuple(keys), tuple(reads))
+    assert rows == {stage: (io.fields, io.reads) for stage, io in STAGE_IO.items()}
+    assert tuple(rows) == STAGES
 
 
 def test_each_stage_runs_from_its_declared_inputs(completed_run, tmp_path):
@@ -499,66 +512,147 @@ def test_stage_alone_refuses_edited_input(completed_run, fixture_files, tmp_path
     assert (out / name).read_bytes() == original
 
 
-_JSON_READERS = (("record.json", "preprocess"), ("baseline.json", "score"),
-                 ("model.json", "score"), ("evaluation.json", "report"))
+_READER = {"record.json": "preprocess", "baseline.json": "score", "model.json": "score",
+           "evaluation.json": "report"}
+_DELETE = object()   # a value that removes its key
+# a value each kind of pipeline.JSON_KINDS rejects; a tuple kind rejects "nope"
+_BAD = {"str": 7, "int": 1.5, "float": "x", "float | None": float("nan"), "int > 0": 0,
+        "float > 0": -1.5, "dict": [], "list[float]": [1.0, False]}
 
 
-def _without(key):
-    """An edit of a JSON object's text that removes `key`."""
-    def edit(text):
-        value = json.loads(text)
-        del value[key]
-        return json.dumps(value)
-    return edit
+def _leaves(kinds, at=""):
+    """(key, kind) of each key of a JSON_KINDS row that holds no nested row;
+    `a.b` names key b of the object at key a."""
+    for key, kind in kinds.items():
+        if isinstance(kind, dict):
+            yield from _leaves(kind, f"{at}{key}.")
+        else:
+            yield at + key, kind
 
 
-def _with(key, value):
-    """An edit of a JSON object's text that sets `key` to `value`; `a.b`
-    names key `b` of the object at key `a`."""
-    def edit(text):
-        obj = json.loads(text)
-        *outer, last = key.split(".")
-        inner = obj
-        for part in outer:
-            inner = inner[part]
+def _edited(text, key, value):
+    """A JSON object's text with `key` set to `value`, or removed."""
+    obj = json.loads(text)
+    *outer, last = key.split(".")
+    inner = obj
+    for part in outer:
+        inner = inner[part]
+    if value is _DELETE:
+        del inner[last]
+    else:
         inner[last] = value
-        return json.dumps(obj)
-    return edit
+    return json.dumps(obj)
 
 
-@pytest.mark.parametrize("name, stage, text", [
-    *[(name, stage, text) for name, stage in _JSON_READERS for text in ('{"x": 1', "[1, 2]")],
-    ("baseline.json", "score", '{"n_train": 100000}'),
-    ("model.json", "score", '{"format_version": 1}'),   # valid objects that lack keys
-    ("model.json", "score", _without("holdout_fraction")),
-    ("record.json", "preprocess", "{}"),
-    ("record.json", "train", _with("duration_s", None)),   # wrongly typed values
-    ("record.json", "preprocess", _with("patient_id", 7)),
-    ("record.json", "preprocess", _with("sampling_rate_hz", True)),
-    ("record.json", "preprocess", _with("sampling_rate_hz", -512)),
-    ("evaluation.json", "report", '{"patient_id": "x"}'),
-    *[("evaluation.json", "report",   # nested objects that lack keys report indexes
-       '{"patient_id": "x", "metrics": {}, "confusion": {}, "counting_note": "", '
-       f'"threshold": {threshold}, "eval_config": {eval_config}}}')
-      for threshold, eval_config in [("{}", '{"preictal_len_s": 60}'),
-                                     ('{"mu": 0, "sigma": 1, "k": 3}', "{}"),
-                                     ("[]", "null")]],
-    *[("evaluation.json", "report", _with(key, value))   # wrongly typed values report indexes
-      for key, value in [("patient_id", 7), ("metrics", 3), ("confusion", []),
-                         ("threshold.mu", "x"), ("threshold.sigma", float("nan")),
-                         ("threshold.k", True), ("eval_config.preictal_len_s", None)]],
-])
-def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, tmp_path,
-                                                  capsys, name, stage, text):
+def _copy_without_manifest(completed_run, fixture_files, tmp_path):
+    """A copy of the completed run with no recorded digests, so a reader is the
+    only check of its artifacts, and the config that runs in it."""
     root, record, annotations = fixture_files
     out = tmp_path / "out"
     shutil.copytree(completed_run[0], out)
-    (out / "manifest.json").unlink()   # no recorded digests: the reader is the only check
-    (out / name).write_text(text((out / name).read_text()) if callable(text) else text)
+    (out / "manifest.json").unlink()
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG_TEMPLATE.format(record=record, annotations=annotations, out=out))
+    return out, config
+
+
+_NESTED = ('{{"patient_id": "x", "metrics": {{}}, "confusion": {{}}, "counting_note": "", '
+           '"threshold": {}, "eval_config": {}}}')
+
+
+@pytest.mark.parametrize("name, stage, key, value", [
+    # key None: value is the file's whole text
+    *[(name, stage, None, text) for name, stage in _READER.items()
+      for text in ('{"x": 1', "[1, 2]", "[" * 100000)],
+    ("record.json", "preprocess", None, "{}"),
+    ("model.json", "score", None, '{"format_version": 1}'),
+    ("evaluation.json", "report", None, '{"patient_id": "x"}'),
+    *[("evaluation.json", "report", None, _NESTED.format(threshold, eval_config))
+      for threshold, eval_config in [("{}", '{"preictal_len_s": 60}'),
+                                     ('{"mu": 0, "sigma": 1, "k": 3}', "{}"),
+                                     ("[]", "null")]],
+    # values of the wrong kind, or out of range, beyond one per key below
+    ("baseline.json", "score", "n_train", 100000),
+    ("record.json", "train", "duration_s", None),
+    ("record.json", "evaluate", "duration_s", 0),
+    ("record.json", "preprocess", "sampling_rate_hz", True),
+    ("record.json", "preprocess", "sampling_rate_hz", -512),
+    ("record.json", "preprocess", "sampling_rate_hz", 512.5),
+    ("evaluation.json", "report", "metrics", 3),
+    ("evaluation.json", "report", "confusion", []),
+    ("evaluation.json", "report", "threshold.sigma", float("nan")),
+    ("evaluation.json", "report", "threshold.k", True),
+    ("evaluation.json", "report", "eval_config.preictal_len_s", None),
+    ("evaluation.json", "report", "metrics.accuracy", "x"),
+    ("evaluation.json", "report", "confusion.tp", [1]),
+    ("evaluation.json", "report", "counting_note", 5),
+    # every key of the table: removed, and holding a value of the wrong kind
+    *[(name, _READER[name], key, value) for name, kinds in pipeline.JSON_KINDS.items()
+      for key, kind in _leaves(kinds)
+      for value in (_DELETE, "nope" if isinstance(kind, tuple) else _BAD[kind])],
+])
+def test_malformed_json_artifact_without_manifest(completed_run, fixture_files, tmp_path,
+                                                  capsys, name, stage, key, value):
+    out, config = _copy_without_manifest(completed_run, fixture_files, tmp_path)
+    path = out / name
+    path.write_text(value if key is None else _edited(path.read_text(), key, value))
     assert main([stage, "--config", str(config)]) == 3
-    assert repr(name) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(name) in err and f"re-run '{stagecache.PRODUCER[name]}'" in err
+    assert key is None or key in err
+
+
+def test_report_copies_only_declared_keys(completed_run, fixture_files, tmp_path):
+    out, config = _copy_without_manifest(completed_run, fixture_files, tmp_path)
+    before = [(out / name).read_bytes() for name in ("metrics.json", "metrics.csv")]
+    path = out / "evaluation.json"
+    path.write_text(_edited(_edited(path.read_text(), "metrics.extra", [1]), "extra", 2))
+    assert main(["report", "--config", str(config)]) == 0
+    assert [(out / name).read_bytes() for name in ("metrics.json", "metrics.csv")] == before
+
+
+def _set(key, i, value):
+    """An edit of scores.params' (tag, arrays) that sets item i of one array."""
+    def edit(tag, arrays):
+        arrays[key][i] = value
+        return tag, arrays
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda tag, a: (tag, {k: v for k, v in a.items() if k != "test_errors"}),
+                 id="missing-array"),
+    pytest.param(lambda tag, a: ("model", a), id="wrong-tag"),
+    pytest.param(lambda tag, a: (tag, a | {"test_errors": a["test_errors"][:, None]}),
+                 id="2d-errors"),
+    pytest.param(lambda tag, a: (tag, a | {"train_errors": np.zeros((0, 3))}),
+                 id="2d-empty-errors"),
+    pytest.param(_set("train_errors", 0, np.nan), id="nan-error"),
+    pytest.param(_set("test_errors", -1, np.inf), id="inf-error"),
+    pytest.param(_set("test_errors", 3, -1e-9), id="negative-error"),
+    pytest.param(_set("test_indices", 0, 1e20), id="huge-index"),
+    pytest.param(_set("test_indices", 5, np.nan), id="nan-index"),
+    pytest.param(_set("test_indices", -1, 0.5), id="fractional-index"),
+    pytest.param(lambda tag, a: (tag, a | {"test_indices": a["test_indices"][::-1].copy()}),
+                 id="reversed-indices"),
+    pytest.param(lambda tag, a: (tag, a | {"test_indices": a["test_indices"] + 1}),
+                 id="shifted-indices"),
+    pytest.param(lambda tag, a: (tag, a | {"test_indices": a["test_indices"][:-1],
+                                           "test_errors": a["test_errors"][:-1]}),
+                 id="test-row-short"),
+    pytest.param(lambda tag, a: (tag, a | {"train_errors": a["train_errors"][1:]}),
+                 id="train-row-short"),
+])
+@pytest.mark.parametrize("stage", ["evaluate", "report"])
+def test_malformed_scores_without_manifest(completed_run, fixture_files, tmp_path, capsys,
+                                           stage, edit):
+    out, config = _copy_without_manifest(completed_run, fixture_files, tmp_path)
+    path = out / "scores.params"
+    tag, arrays = edit(*load_arrays(path.read_bytes()))
+    path.write_bytes(dump_arrays(arrays, tag))
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "'scores.params'" in err and "re-run 'score'" in err
 
 
 class TestCli:
