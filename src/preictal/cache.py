@@ -1,10 +1,12 @@
 """Chunked binary caches for segment sets and feature tensors.
 
-Both formats are little-endian with a fixed header followed by one chunk per
+Both formats are little-endian with a fixed header followed by one row per
 item; byte layouts are documented in docs/formats.md.  The rows of either
-have a fixed stride, so each block of rows can be written or read at its own
-offset, and neither a long record's segments nor its feature tensor is ever
-resident whole.
+have a fixed stride, and only this module knows their offsets: a reader
+takes an open file, checks its header and exact size, then decodes whole
+rows read at their own offset (`read_rows`); a writer writes each block of
+rows at its own offset (`write_rows`).  So neither a long record's segments
+nor its feature tensor is ever resident whole.
 """
 from __future__ import annotations
 
@@ -62,12 +64,29 @@ def dump_segments(segments: SegmentSet) -> bytearray:
     return out
 
 
-def _segments_layout(data: bytes, size: int) -> SegmentLayout:
-    """The layout of the ESG1 header at the start of data, checked against
-    the size in bytes of the whole file."""
+def _head(f: BinaryIO, size: int) -> tuple[bytes, int]:
+    """The first size bytes of the file open for reading in f, and the size
+    in bytes of the whole file."""
+    whole = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    return f.read(size), whole
+
+
+def _sized(layout: SegmentLayout | FeatureLayout, size: int):
+    """The layout, once size is the exact size in bytes of its whole file."""
+    expected = layout.offset + layout.count * layout.row_bytes
+    if size != expected:
+        raise DataError(f"{layout.what} truncated: {size} bytes, expected {expected}")
+    return layout
+
+
+def read_segments_layout(f: BinaryIO) -> SegmentLayout:
+    """The layout of the ESG1 file open for reading in f, its header checked
+    and the file's size checked against it."""
+    data, size = _head(f, SegmentLayout.offset)
     if data[:4] != SEGMENTS_MAGIC:
         raise DataError(f"bad segment-cache magic {data[:4]!r}")
-    (version, fs, window, hop, count), pos = unpack_header("<IIIII", data, 4, "segment cache")
+    (version, fs, window, hop, count), _ = unpack_header("<IIIII", data, 4, "segment cache")
     if version != VERSION:
         raise DataError(f"unsupported segment-cache version {version}")
     if not 0 < window < 2**31 or not fs or not hop or (window % fs) or (hop % fs):
@@ -79,11 +98,7 @@ def _segments_layout(data: bytes, size: int) -> SegmentLayout:
                                  sampling_rate_hz=fs)
     except ConfigError as exc:
         raise DataError(f"segment cache header: {exc}") from exc
-    layout = SegmentLayout(cfg, count)
-    expected = layout.offset + count * layout.row_bytes
-    if size != expected:
-        raise DataError(f"segment cache truncated: {size} bytes, expected {expected}")
-    return layout
+    return _sized(SegmentLayout(cfg, count), size)
 
 
 def _segment_rows(data, layout: SegmentLayout) -> np.ndarray:
@@ -96,18 +111,9 @@ def _segment_rows(data, layout: SegmentLayout) -> np.ndarray:
     return body
 
 
-def read_segments_layout(f: BinaryIO) -> SegmentLayout:
-    """The checked layout of the ESG1 file open for reading in f."""
-    return _segments_layout(*_head(f, SegmentLayout.offset))
-
-
-def load_segments(data, layout: SegmentLayout | None = None) -> SegmentSet:
-    """Decode ESG1 bytes: a whole file, or, given the layout read from a
-    file's header, whole rows read from it."""
-    if layout is None:
-        layout = _segments_layout(data, len(data))
-        data = memoryview(data)[layout.offset:]
-    body = _segment_rows(data, layout)
+def load_segments(rows, layout: SegmentLayout) -> SegmentSet:
+    """Decode whole ESG1 rows read from a file with this layout."""
+    body = _segment_rows(rows, layout)
     return SegmentSet(body["samples"], body["start"], body["phase"], layout.config)
 
 
@@ -155,22 +161,20 @@ class FeatureLayout(NamedTuple):
 _FEATURES_HEADER_MAX = FeatureLayout("dwt", (1,) * MAX_NDIM, 0).offset   # the longest header
 
 
-def dump_features(features: np.ndarray, representation: str, header: bool = True):
-    """An FTR1 file's bytes for the stacked features: the header, then the
-    rows.  header=False gives the rows alone, to write after a header written
-    for the whole file, as a contiguous `<f8` array (bytes-like; no copy of
-    an input that already is one)."""
+def dump_features(features: np.ndarray) -> np.ndarray:
+    """FTR1 rows of the stacked features, to write after a header
+    (`FeatureLayout.header`): a contiguous `<f8` array, bytes-like, and no
+    copy of an input that already is one."""
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim < 2:
         raise DataError("features must be stacked with items along axis 0")
-    if not header:
-        return feats
-    return FeatureLayout(representation, feats.shape[1:], len(feats)).header + feats.tobytes()
+    return feats
 
 
-def _features_layout(data: bytes, size: int) -> FeatureLayout:
-    """The layout of the FTR1 header at the start of data, checked against
-    the size in bytes of the whole file."""
+def read_features_layout(f: BinaryIO) -> FeatureLayout:
+    """The layout of the FTR1 file open for reading in f, its header checked
+    and the file's size checked against it."""
+    data, size = _head(f, _FEATURES_HEADER_MAX)
     if data[:4] != FEATURES_MAGIC:
         raise DataError(f"bad feature-cache magic {data[:4]!r}")
     (version, tag, ndim), pos = unpack_header("<IB3xI", data, 4, "feature cache")
@@ -185,24 +189,15 @@ def _features_layout(data: bytes, size: int) -> FeatureLayout:
     if not all(shape):
         raise DataError(f"feature cache declares empty items of shape {shape}")
     check_shape((count, *shape), "feature cache")
-    layout = FeatureLayout(REPRESENTATIONS[tag], shape, count)
-    expected = layout.offset + layout.row_bytes * count
-    if size != expected:
-        raise DataError(f"feature cache truncated: {size} bytes, expected {expected}")
-    return layout
+    return _sized(FeatureLayout(REPRESENTATIONS[tag], shape, count), size)
 
 
-def _head(f: BinaryIO, size: int) -> tuple[bytes, int]:
-    """The first size bytes of the file open for reading in f, and the size
-    in bytes of the whole file."""
-    whole = f.seek(0, os.SEEK_END)
-    f.seek(0)
-    return f.read(size), whole
-
-
-def read_features_layout(f: BinaryIO) -> FeatureLayout:
-    """The checked layout of the FTR1 file open for reading in f."""
-    return _features_layout(*_head(f, _FEATURES_HEADER_MAX))
+def load_features(rows, layout: FeatureLayout) -> np.ndarray:
+    """Decode whole FTR1 rows read from a file with this layout, as a view
+    of rows."""
+    if len(rows) % layout.row_bytes:
+        raise DataError(f"{len(rows)} bytes are not whole feature rows of {layout.row_bytes}")
+    return np.frombuffer(rows, dtype="<f8").reshape(-1, *layout.item_shape)
 
 
 def read_rows(f: BinaryIO, layout: SegmentLayout | FeatureLayout, lo: int, hi: int) -> bytearray:
@@ -215,13 +210,8 @@ def read_rows(f: BinaryIO, layout: SegmentLayout | FeatureLayout, lo: int, hi: i
     return data
 
 
-def load_features(data, layout: FeatureLayout | None = None) -> tuple[np.ndarray, str]:
-    """Decode FTR1 bytes: a whole file, or, given the layout read from a
-    file's header, whole rows read from it.  The array is a view of data."""
-    if layout is None:
-        layout = _features_layout(data, len(data))
-        data = memoryview(data)[layout.offset:]
-    if len(data) % layout.row_bytes:
-        raise DataError(f"{len(data)} bytes are not whole feature rows of {layout.row_bytes}")
-    feats = np.frombuffer(data, dtype="<f8").reshape(-1, *layout.item_shape)
-    return feats, layout.representation
+def write_rows(f: BinaryIO, layout: SegmentLayout | FeatureLayout, lo: int, rows):
+    """Write whole rows of the layout at row lo of the file open for writing
+    in f."""
+    f.seek(layout.offset + lo * layout.row_bytes)
+    f.write(rows)

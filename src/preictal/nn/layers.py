@@ -369,10 +369,7 @@ class MultiHeadAttention(Layer):
         """run(lo, hi) over batch rows lo:hi in blocks of at least
         ATTENTION_BLOCK_SCORES scores; a batch of one block runs in one call."""
         rows = -(-ATTENTION_BLOCK_SCORES // (self.heads * t * t))
-        if rows >= b:
-            run(0, b)
-        else:
-            fan_out(run, row_blocks(b, rows), rows)
+        fan_out(run, row_blocks(b, rows), rows)
 
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[-1] != self.dim:

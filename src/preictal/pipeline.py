@@ -8,6 +8,8 @@ so deleting an intermediate and re-running `all` regenerates it bit-identically.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from dataclasses import asdict, replace
@@ -20,7 +22,7 @@ from .anomaly import (Threshold, detect, export_csv, fit_threshold,
 from .blocks import fan_out, row_blocks
 from .cache import (FeatureLayout, dump_features, dump_segments, load_features,
                     load_segment_index, load_segments, read_features_layout, read_rows,
-                    read_segments_layout)
+                    read_segments_layout, write_rows)
 from .config import PipelineConfig, stage_settings
 from .errors import DataError, check_json, field_kinds
 from .evaluation import (ConfusionCounts, EvalResult, classify_alarm_intervals,
@@ -112,10 +114,6 @@ class Pipeline:
                             f"{self.cfg.representation!r}; re-run 'extract'")
         return layout
 
-    @staticmethod
-    def _feature_rows(f, layout: FeatureLayout, lo: int, hi: int) -> np.ndarray:
-        return load_features(read_rows(f, layout, lo, hi), layout)[0]
-
     def _n_train(self, layout: FeatureLayout) -> int:
         n_train = self._json("baseline.json")["n_train"]
         if not 0 <= n_train <= layout.count:
@@ -198,15 +196,13 @@ class Pipeline:
         rows = rows_per_call(rep, window)
         with self.cache.writing("features.bin") as out:
             out.write(layout.header)
-            out.truncate(layout.offset + layout.count * layout.row_bytes)
 
             def run(lo, hi):
                 with path.open("rb") as f:
                     block = load_segments(read_rows(f, source, lo, hi), source)
-                feats = dump_features(extract_features(block, rep), rep, header=False)
+                feats = dump_features(extract_features(block, rep))
                 with open(out.name, "r+b") as f:
-                    f.seek(layout.offset + lo * layout.row_bytes)
-                    f.write(feats)
+                    write_rows(f, layout, lo, feats)
 
             fan_out(run, row_blocks(source.count, rows), rows)
 
@@ -219,7 +215,8 @@ class Pipeline:
             if layout.count != len(segments):
                 raise DataError(f"features.bin holds {layout.count} rows for {len(segments)} "
                                 f"segments; re-run 'extract'")
-            feats = self._feature_rows(f, layout, 0, len(train_idx))   # the baseline prefix
+            # the baseline prefix
+            feats = load_features(read_rows(f, layout, 0, len(train_idx)), layout)
         stats = fit_normalization(feats)
         spec = build(self.cfg.architecture, self.cfg.representation,
                      segments.config.window_samples)
@@ -244,13 +241,13 @@ class Pipeline:
             layout = self._features_layout(f)
             n_train = self._n_train(layout)
             # as train fitted them
-            stats = fit_normalization(self._feature_rows(f, layout, 0, n_train))
+            stats = fit_normalization(load_features(read_rows(f, layout, 0, n_train), layout))
         trained = load_trained(self._require("model.params").read_bytes(),
                                self._json("model.json"), stats)
 
         def run(lo, hi):
             with path.open("rb") as f:
-                rows = self._feature_rows(f, layout, lo, hi)
+                rows = load_features(read_rows(f, layout, lo, hi), layout)
             return score(trained, apply_normalization(rows, stats))
 
         # the batches of scoring the whole tensor at once: a one-row tail joins
@@ -323,7 +320,9 @@ class Pipeline:
             key: evaluation[key] for key in ("patient_id", "metrics", "confusion", "counting_note")}))
         header = ["patient_id"] + sorted(result)
         row = [patient_id] + [_csv_cell(result[k]) for k in sorted(result)]
-        self.cache.write("metrics.csv", ",".join(header) + "\n" + ",".join(row) + "\n")
+        table = io.StringIO()
+        csv.writer(table, lineterminator="\n").writerows([header, row])   # quotes a ',' in the id
+        self.cache.write("metrics.csv", table.getvalue())
 
         test_raw = series_from_errors(test_err, test_idx)
         test_smooth = smooth(test_raw, self.cfg.smoothing_w)

@@ -6,6 +6,8 @@ classes: error-raw, error-smoothed, threshold, onset, preictal-band.
 """
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 from .anomaly import ErrorSeries, Threshold
@@ -58,7 +60,8 @@ def render_report_svg(raw: ErrorSeries, smoothed: ErrorSeries, threshold: Thresh
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{MARGIN_L}" y="16" font-size="13" font-family="sans-serif">{title}</text>',
+        f'<text x="{MARGIN_L}" y="16" font-size="13" font-family="sans-serif">'
+        f'{escape(title, quote=False)}</text>',
     ]
 
     for ann in annotations:

@@ -371,8 +371,9 @@ def test_criterion_9_siena_directional(tmp_path):
     th_smooth = fit_threshold(smooth(train_raw, 31), k=k)
     flags_smooth, _ = detect(smooth(test_raw, 31), th_smooth)
     # false-positive space: segments outside any pre-ictal interval
-    from preictal.cache import load_segments
-    segs = load_segments((tmp_path / "siena" / "segments.bin").read_bytes())
+    from preictal.cache import load_segment_index
+    with (tmp_path / "siena" / "segments.bin").open("rb") as f:
+        segs = load_segment_index(f)
     test_idx = arrays["test_indices"].astype(int)
     inter = segs.phases[test_idx] == Phase.INTERICTAL
     assert np.sum(flags_smooth & inter) < np.sum(flags_raw & inter)

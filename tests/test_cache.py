@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preictal import cache
-from preictal.cache import (dump_features, dump_segments, load_features,
-                            load_segment_index, load_segments, read_rows,
-                            read_segments_layout)
+from preictal.cache import (FeatureLayout, dump_features, dump_segments, load_features,
+                            load_segment_index, load_segments, read_features_layout,
+                            read_rows, read_segments_layout, write_rows)
 from preictal.errors import DataError
 from preictal.ingest import EcgRecord
 from preictal.nn.params_io import dump_arrays, load_arrays
@@ -25,9 +25,35 @@ def make_segments(overlap_s=0):
     return segs.with_phases(phases.astype(np.int8))
 
 
+def read_segments(blob):
+    """Every segment of ESG1 bytes, read as extract reads segments.bin: the
+    layout from the open file, then whole rows."""
+    f = io.BytesIO(blob)
+    layout = read_segments_layout(f)
+    return load_segments(read_rows(f, layout, 0, layout.count), layout)
+
+
+def features_file(feats, representation: str) -> bytes:
+    """FTR1 bytes as extract writes features.bin: the header, then the rows
+    at their offset."""
+    f = io.BytesIO()
+    layout = FeatureLayout(representation, feats.shape[1:], len(feats))
+    f.write(layout.header)
+    write_rows(f, layout, 0, dump_features(feats))
+    return f.getvalue()
+
+
+def read_features(blob):
+    """The rows and representation of FTR1 bytes, read as train and score
+    read features.bin."""
+    f = io.BytesIO(blob)
+    layout = read_features_layout(f)
+    return load_features(read_rows(f, layout, 0, layout.count), layout), layout.representation
+
+
 def test_segment_roundtrip():
     segs = make_segments(overlap_s=1)
-    back = load_segments(dump_segments(segs))
+    back = read_segments(dump_segments(segs))
     assert np.array_equal(back.samples, segs.samples)
     assert np.array_equal(back.start_samples, segs.start_samples)
     assert np.array_equal(back.phases, segs.phases)
@@ -80,46 +106,60 @@ def test_bad_phase_in_a_later_block_is_data_error(monkeypatch):
     monkeypatch.setattr(cache, "INDEX_BLOCK_BYTES", 1)   # one row per block
     blob = dump_segments(make_segments())
     blob[cache.SegmentLayout.offset + 4 * (16 + 8 * 2560) + 8] = 7   # row 4's phase
-    for load in (load_segments, load_index):
+    for load in (read_segments, load_index):
         with pytest.raises(DataError, match="phase outside"):
             load(blob)
 
 
 def test_segment_bad_magic():
     with pytest.raises(DataError, match="magic"):
-        load_segments(b"XXXX" + b"\0" * 60)
+        read_segments(b"XXXX" + b"\0" * 60)
 
 
 def test_segment_truncation_detected():
     blob = dump_segments(make_segments())
     with pytest.raises(DataError, match="truncated"):
-        load_segments(blob[:-8])
+        read_segments(blob[:-8])
 
 
 def test_feature_roundtrip():
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(7, 128, 32))
-    back, rep = load_features(dump_features(feats, "scalogram"))
+    back, rep = read_features(features_file(feats, "scalogram"))
     assert rep == "scalogram"
     assert np.array_equal(back, feats)
 
 
 def test_feature_vector_roundtrip():
     feats = np.random.default_rng(2).normal(size=(4, 512))
-    back, rep = load_features(dump_features(feats, "dwt"))
+    back, rep = read_features(features_file(feats, "dwt"))
     assert rep == "dwt"
     assert back.shape == (4, 512)
 
 
+def test_feature_rows_written_and_read_by_block():
+    """Blocks written at their own offsets in any order, as extract's threads
+    write them, make the file written whole; rows read alone are its rows."""
+    feats = np.random.default_rng(3).normal(size=(7, 5, 3))
+    layout = FeatureLayout("spectrogram", (5, 3), 7)
+    f = io.BytesIO()
+    f.write(layout.header)
+    for lo, hi in [(4, 7), (0, 2), (2, 4)]:
+        write_rows(f, layout, lo, dump_features(feats[lo:hi]))
+    assert f.getvalue() == features_file(feats, "spectrogram")
+    assert read_features_layout(f) == layout
+    assert np.array_equal(load_features(read_rows(f, layout, 2, 5), layout), feats[2:5])
+
+
 def test_feature_unknown_representation():
     with pytest.raises(DataError, match="unknown representation"):
-        dump_features(np.zeros((2, 3)), "mel")
+        features_file(np.zeros((2, 3)), "mel")
 
 
 def test_feature_truncation_detected():
-    blob = dump_features(np.zeros((3, 8)), "dwt")
+    blob = features_file(np.zeros((3, 8)), "dwt")
     with pytest.raises(DataError, match="truncated"):
-        load_features(blob[:-1])
+        read_features(blob[:-1])
 
 
 def _small_segments():
@@ -130,9 +170,9 @@ def _small_segments():
 
 # one valid blob per loader; the fuzz tests below cut, flip and replace its bytes
 VALID_BLOBS = {
-    load_segments: dump_segments(_small_segments()),
+    read_segments: dump_segments(_small_segments()),
     load_index: dump_segments(_small_segments()),
-    load_features: dump_features(np.arange(24.0).reshape(2, 3, 4), "scalogram"),
+    read_features: features_file(np.arange(24.0).reshape(2, 3, 4), "scalogram"),
     load_arrays: dump_arrays({"w": np.ones((2, 3)), "b": np.zeros(3)}, "lstm_ae:dwt:32x16"),
 }
 LOADERS = st.sampled_from(list(VALID_BLOBS))
@@ -153,15 +193,15 @@ MALFORMED_SEGMENT_HEADERS = [
 
 
 @pytest.mark.parametrize("load, blob", [
-    *[(load, blob) for load in (load_segments, load_index)
+    *[(load, blob) for load in (read_segments, load_index)
       for blob in MALFORMED_SEGMENT_HEADERS],
-    (load_features, b"FTR1\x01\x00\x00"),
+    (read_features, b"FTR1\x01\x00\x00"),
     (load_arrays, b"MDL1\x01\x00\x00\x00\x03"),
     (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"\xff"),              # tag not UTF-8
     # a zero axis next to axes whose product overflows numpy's size limit
     (load_arrays, b"MDL1" + struct.pack("<IH", 1, 1) + b"t" + struct.pack("<IH", 1, 1)
      + b"w" + struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1)),
-    (load_features, b"FTR1" + struct.pack("<IB3xI3II", 1, 0, 3, 0, 2**32 - 1, 2**32 - 1, 5)),
+    (read_features, b"FTR1" + struct.pack("<IB3xI3II", 1, 0, 3, 0, 2**32 - 1, 2**32 - 1, 5)),
 ])
 def test_malformed_header_is_data_error(load, blob):
     with pytest.raises(DataError):
@@ -218,5 +258,5 @@ def _segments_read(load, blob: bytes):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_index_reader_accepts_what_load_segments_accepts(fuzz, data):
-    blob = fuzz(VALID_BLOBS[load_segments], data)
-    assert _segments_read(load_index, blob) == _segments_read(load_segments, blob)
+    blob = fuzz(VALID_BLOBS[read_segments], data)
+    assert _segments_read(load_index, blob) == _segments_read(read_segments, blob)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -9,12 +10,13 @@ import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 from preictal import blocks
-from preictal.cache import load_segments, read_rows
+from preictal.cache import load_segment_index, read_rows
 from preictal.cli import main
 from preictal.config import PipelineConfig, validate_config
 from preictal.errors import DataError
@@ -242,7 +244,8 @@ def tail_run(tmp_path_factory, event_record):
     (root / "annotations.csv").write_text(serialize_annotations(record.annotations))
     cfg = config_for(root, root / "record.csv", root / "annotations.csv", root / "run")
     run("all", cfg)
-    assert len(load_segments((root / "run" / "segments.bin").read_bytes())) == 705
+    with (root / "run" / "segments.bin").open("rb") as f:
+        assert len(load_segment_index(f)) == 705
     return root / "run", cfg
 
 
@@ -609,6 +612,18 @@ def test_report_copies_only_declared_keys(completed_run, fixture_files, tmp_path
     path.write_text(_edited(_edited(path.read_text(), "metrics.extra", [1]), "extra", 2))
     assert main(["report", "--config", str(config)]) == 0
     assert [(out / name).read_bytes() for name in ("metrics.json", "metrics.csv")] == before
+
+
+def test_report_keeps_a_patient_id_with_markup_and_commas(completed_run, fixture_files,
+                                                          tmp_path):
+    out, config = _copy_without_manifest(completed_run, fixture_files, tmp_path)
+    path = out / "evaluation.json"
+    path.write_text(_edited(path.read_text(), "patient_id", "A&B, <x>"))
+    assert main(["report", "--config", str(config)]) == 0
+    title = ElementTree.parse(out / "report.svg").find("{http://www.w3.org/2000/svg}text")
+    assert title.text.startswith("A&B, <x>: ")
+    header, row = csv.reader((out / "metrics.csv").read_text().splitlines())
+    assert row[0] == "A&B, <x>" and len(row) == len(header) == 9
 
 
 def _set(key, i, value):
