@@ -26,7 +26,9 @@ from .preprocess import Phase, SegmentationConfig, SegmentIndex, SegmentSet
 SEGMENTS_MAGIC = b"ESG1"
 FEATURES_MAGIC = b"FTR1"
 VERSION = 1
-INDEX_BLOCK_BYTES = 1 << 19   # load_segment_index reads rows in blocks of about this size
+# preprocess writes segments.bin, and load_segment_index reads it, in blocks
+# of rows of about this many bytes
+ROW_BLOCK_BYTES = 1 << 19
 
 
 def _segment_dtype(window: int) -> np.dtype:
@@ -45,23 +47,28 @@ class SegmentLayout(NamedTuple):
     offset = 24   # bytes before the first row
 
     @property
+    def header(self) -> bytes:
+        cfg = self.config
+        return SEGMENTS_MAGIC + struct.pack("<IIIII", VERSION, cfg.sampling_rate_hz,
+                                            cfg.window_samples, cfg.hop_samples, self.count)
+
+    @property
     def row_bytes(self) -> int:
         return 16 + 8 * self.config.window_samples
 
+    def blocks(self):
+        """(lo, hi) bounds of the rows in blocks of about ROW_BLOCK_BYTES."""
+        return row_blocks(self.count, max(1, ROW_BLOCK_BYTES // self.row_bytes))
 
-def dump_segments(segments: SegmentSet) -> bytearray:
-    """ESG1 bytes of the segments: one buffer, the header then the chunks."""
-    cfg = segments.config
-    head = SEGMENTS_MAGIC + struct.pack(
-        "<IIIII", VERSION, cfg.sampling_rate_hz, cfg.window_samples,
-        cfg.hop_samples, len(segments))
-    dtype = _segment_dtype(cfg.window_samples)
-    out = bytearray(len(head) + len(segments) * dtype.itemsize)   # zeroed, pad bytes too
-    out[:len(head)] = head
-    body = np.frombuffer(out, dtype, count=len(segments), offset=len(head))
+
+def dump_segments(segments: SegmentSet) -> np.ndarray:
+    """ESG1 rows of the segments, to write after a header
+    (`SegmentLayout.header`): a structured array, bytes-like, whose pad
+    bytes are zero."""
+    body = np.zeros(len(segments), _segment_dtype(segments.config.window_samples))
     body["start"], body["phase"], body["samples"] = (
         segments.start_samples, segments.phases, segments.samples)
-    return out
+    return body
 
 
 def _head(f: BinaryIO, size: int) -> tuple[bytes, int]:
@@ -120,10 +127,10 @@ def load_segments(rows, layout: SegmentLayout) -> SegmentSet:
 def load_segment_index(f: BinaryIO) -> SegmentIndex:
     """The start samples, phases and segmentation of the ESG1 file open for
     reading in f, with every check of `load_segments`.  It reads the rows in
-    blocks of about INDEX_BLOCK_BYTES and keeps only those two fields."""
+    blocks of about ROW_BLOCK_BYTES and keeps only those two fields."""
     layout = read_segments_layout(f)
     starts, phases = np.empty(layout.count, np.int64), np.empty(layout.count, np.int8)
-    for lo, hi in row_blocks(layout.count, max(1, INDEX_BLOCK_BYTES // layout.row_bytes)):
+    for lo, hi in layout.blocks():
         body = _segment_rows(read_rows(f, layout, lo, hi), layout)
         starts[lo:hi], phases[lo:hi] = body["start"], body["phase"]
     return SegmentIndex(starts, phases, layout.config)

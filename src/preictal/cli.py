@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -19,6 +20,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# glibc's mallopt parameters (malloc.h) and the values main fixes them at;
+# 32 MiB is the most glibc's own mmap threshold rises to
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES, TRIM_THRESHOLD_BYTES = 32 << 20, 8 << 20
+
+
+def fix_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds, so every run in one process
+    allocates as the first did.  By default each free of a mapped block
+    raises them to its size and twice that, and a heap keeps up to the trim
+    threshold of freed memory resident: a second `all` on a 1-hour record
+    peaked about 30 MB above the first.  Other C libraries are left as they are."""
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    fix_malloc_thresholds()
     try:
         try:
             text = Path(args.config).read_text()

@@ -20,9 +20,9 @@ import numpy as np
 from .anomaly import (Threshold, detect, export_csv, fit_threshold,
                       series_from_errors, smooth)
 from .blocks import fan_out, row_blocks
-from .cache import (FeatureLayout, dump_features, dump_segments, load_features,
-                    load_segment_index, load_segments, read_features_layout, read_rows,
-                    read_segments_layout, write_rows)
+from .cache import (FeatureLayout, SegmentLayout, dump_features, dump_segments,
+                    load_features, load_segment_index, load_segments, read_features_layout,
+                    read_rows, read_segments_layout, write_rows)
 from .config import PipelineConfig, stage_settings
 from .errors import DataError, check_json, field_kinds
 from .evaluation import (ConfusionCounts, EvalResult, classify_alarm_intervals,
@@ -178,7 +178,12 @@ class Pipeline:
         segments = label_phases(segment(filtered, seg_cfg), anns,
                                 preictal_len_s=self._preictal_len_s(meta),
                                 postictal_len_s=self.settings.evaluation.postictal_len_s)
-        self.cache.write("segments.bin", dump_segments(segments))
+        layout = SegmentLayout(segments.config, len(segments))
+        # in blocks of rows, so the rows are never held whole beside the record
+        with self.cache.writing("segments.bin") as f:
+            f.write(layout.header)
+            for lo, hi in layout.blocks():
+                write_rows(f, layout, lo, dump_segments(segments.block(lo, hi)))
 
     # Extract and score fan out once over the whole record (`blocks.fan_out`),
     # in blocks of one transform call or one score batch, so neither a long

@@ -107,6 +107,11 @@ class SegmentSet(SegmentIndex):
     def with_phases(self, phases: np.ndarray) -> "SegmentSet":
         return SegmentSet(self.samples, self.start_samples, phases, self.config)
 
+    def block(self, lo: int, hi: int) -> "SegmentSet":
+        """Segments lo:hi, as views of these."""
+        return SegmentSet(self.samples[lo:hi], self.start_samples[lo:hi], self.phases[lo:hi],
+                          self.config)
+
 
 def lowpass(record: EcgRecord, cfg: FilterConfig = FilterConfig()) -> EcgRecord:
     """Low-pass the record, preserving DC/baseline wander.

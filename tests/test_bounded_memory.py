@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import preictal
+from preictal.cli import TRIM_THRESHOLD_BYTES
 from preictal.ingest import (SyntheticEvent, SyntheticSpec, generate_synthetic,
                              serialize_annotations, serialize_csv, write_edf)
 
@@ -101,3 +102,34 @@ def test_csv_convert_peak_grows_with_file_bytes_only(records):
     # 31 MiB more file bytes: about 15 MiB more peak; 1.2 per byte when the
     # columns were joined from per-block lists, 2.1 when the file was read whole
     assert long - short < CSV_PEAK_PER_BYTE * (file_mb[1] - file_mb[0]), (short, long, file_mb)
+
+
+
+# frees a 16 MB array, then three 8 MB arrays, and prints how many bytes of
+# the three stay resident: glibc's default thresholds, raised to 16 MiB and
+# 32 MiB by the first free, would keep all 24 MB
+FREED_STAYS = """\
+import os
+import numpy as np
+from preictal.cli import fix_malloc_thresholds
+fix_malloc_thresholds()
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+big = np.ones(2_000_000)
+del big
+before = resident()
+held = [np.ones(1_000_000) for _ in range(3)]
+del held
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_fixed_malloc_thresholds_bound_the_freed_memory_kept():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(preictal.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", FREED_STAYS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < TRIM_THRESHOLD_BYTES + 2**20, proc.stdout

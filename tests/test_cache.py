@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preictal import cache
-from preictal.cache import (FeatureLayout, dump_features, dump_segments, load_features,
-                            load_segment_index, load_segments, read_features_layout,
-                            read_rows, read_segments_layout, write_rows)
+from preictal.cache import (FeatureLayout, SegmentLayout, dump_features, dump_segments,
+                            load_features, load_segment_index, load_segments,
+                            read_features_layout, read_rows, read_segments_layout, write_rows)
 from preictal.errors import DataError
 from preictal.ingest import EcgRecord
 from preictal.nn.params_io import dump_arrays, load_arrays
@@ -23,6 +23,17 @@ def make_segments(overlap_s=0):
     segs = segment(rec, SegmentationConfig(5, overlap_s, 512))
     phases = np.arange(len(segs)) % 4
     return segs.with_phases(phases.astype(np.int8))
+
+
+def segments_file(segs) -> bytearray:
+    """ESG1 bytes as preprocess writes segments.bin: the header, then the
+    rows in blocks at their offsets."""
+    f = io.BytesIO()
+    layout = SegmentLayout(segs.config, len(segs))
+    f.write(layout.header)
+    for lo, hi in layout.blocks():
+        write_rows(f, layout, lo, dump_segments(segs.block(lo, hi)))
+    return bytearray(f.getvalue())
 
 
 def read_segments(blob):
@@ -53,7 +64,7 @@ def read_features(blob):
 
 def test_segment_roundtrip():
     segs = make_segments(overlap_s=1)
-    back = read_segments(dump_segments(segs))
+    back = read_segments(segments_file(segs))
     assert np.array_equal(back.samples, segs.samples)
     assert np.array_equal(back.start_samples, segs.start_samples)
     assert np.array_equal(back.phases, segs.phases)
@@ -67,9 +78,9 @@ def load_index(blob):
 
 @pytest.mark.parametrize("block_bytes", [1, 3 * (16 + 8 * 2560), 1 << 22])
 def test_segment_index_reads_starts_phases_and_config(block_bytes, monkeypatch):
-    monkeypatch.setattr(cache, "INDEX_BLOCK_BYTES", block_bytes)   # 1 row, 3 rows, all
+    monkeypatch.setattr(cache, "ROW_BLOCK_BYTES", block_bytes)   # 1 row, 3 rows, all
     segs = make_segments(overlap_s=1)
-    index = load_index(dump_segments(segs))
+    index = load_index(segments_file(segs))
     assert not hasattr(index, "samples")
     assert len(index) == len(segs)
     assert np.array_equal(index.start_samples, segs.start_samples)
@@ -78,8 +89,10 @@ def test_segment_index_reads_starts_phases_and_config(block_bytes, monkeypatch):
     assert index.config == segs.config
 
 
+@pytest.mark.parametrize("block_bytes", [1, 1 << 19])   # one row per block, all rows
 @pytest.mark.parametrize("overlap_s", [0, 1])
-def test_segment_bytes_are_header_then_zero_padded_chunks(overlap_s):
+def test_segment_bytes_are_header_then_zero_padded_chunks(overlap_s, block_bytes, monkeypatch):
+    monkeypatch.setattr(cache, "ROW_BLOCK_BYTES", block_bytes)
     segs = make_segments(overlap_s)
     cfg = segs.config
     chunks = np.zeros(len(segs), [("start", "<i8"), ("phase", "u1"), ("pad", "V7"),
@@ -88,12 +101,12 @@ def test_segment_bytes_are_header_then_zero_padded_chunks(overlap_s):
         segs.start_samples, segs.phases, segs.samples)
     head = b"ESG1" + struct.pack("<IIIII", 1, cfg.sampling_rate_hz, cfg.window_samples,
                                  cfg.hop_samples, len(segs))
-    assert bytes(dump_segments(segs)) == head + chunks.tobytes()
+    assert bytes(segments_file(segs)) == head + chunks.tobytes()
 
 
 def test_segment_rows_read_alone():
     segs = make_segments()
-    f = io.BytesIO(dump_segments(segs))
+    f = io.BytesIO(segments_file(segs))
     layout = read_segments_layout(f)
     assert (layout.config, layout.count) == (segs.config, len(segs))
     block = load_segments(read_rows(f, layout, 2, 5), layout)
@@ -103,8 +116,8 @@ def test_segment_rows_read_alone():
 
 
 def test_bad_phase_in_a_later_block_is_data_error(monkeypatch):
-    monkeypatch.setattr(cache, "INDEX_BLOCK_BYTES", 1)   # one row per block
-    blob = dump_segments(make_segments())
+    monkeypatch.setattr(cache, "ROW_BLOCK_BYTES", 1)   # one row per block
+    blob = segments_file(make_segments())
     blob[cache.SegmentLayout.offset + 4 * (16 + 8 * 2560) + 8] = 7   # row 4's phase
     for load in (read_segments, load_index):
         with pytest.raises(DataError, match="phase outside"):
@@ -117,7 +130,7 @@ def test_segment_bad_magic():
 
 
 def test_segment_truncation_detected():
-    blob = dump_segments(make_segments())
+    blob = segments_file(make_segments())
     with pytest.raises(DataError, match="truncated"):
         read_segments(blob[:-8])
 
@@ -170,8 +183,8 @@ def _small_segments():
 
 # one valid blob per loader; the fuzz tests below cut, flip and replace its bytes
 VALID_BLOBS = {
-    read_segments: dump_segments(_small_segments()),
-    load_index: dump_segments(_small_segments()),
+    read_segments: segments_file(_small_segments()),
+    load_index: segments_file(_small_segments()),
     read_features: features_file(np.arange(24.0).reshape(2, 3, 4), "scalogram"),
     load_arrays: dump_arrays({"w": np.ones((2, 3)), "b": np.zeros(3)}, "lstm_ae:dwt:32x16"),
 }

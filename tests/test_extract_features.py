@@ -5,7 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from preictal.cache import dump_segments, load_segments, read_rows, read_segments_layout
+from preictal.cache import (SegmentLayout, dump_segments, load_segments, read_rows,
+                            read_segments_layout)
 from preictal.features import (BLOCK_ROWS, cwt_scalogram, dwt_decompose,
                                extract_features, stft_spectrogram)
 from preictal.ingest import EcgRecord
@@ -24,7 +25,8 @@ def test_block_rows_match_single_segments(representation, window_s):
     rec = EcgRecord(patient_id="t", sampling_rate_hz=fs,
                     samples=rng.normal(size=fs * window_s * max(COUNTS)))
     # the segment cache's strided rows, as the extract stage reads them
-    f = io.BytesIO(dump_segments(segment(rec, SegmentationConfig(window_s, 0, fs))))
+    cut = segment(rec, SegmentationConfig(window_s, 0, fs))
+    f = io.BytesIO(SegmentLayout(cut.config, len(cut)).header + dump_segments(cut).tobytes())
     layout = read_segments_layout(f)
     segs = load_segments(read_rows(f, layout, 0, layout.count), layout)
     expected = np.stack([PER_SEGMENT[representation](s) for s in segs.samples])
